@@ -22,6 +22,7 @@ from .ore import (
     SignedSolution,
     build_relation_graph,
     enumerate_pool,
+    expand_signed,
     extract_cycles,
     make_instance,
     relation_to_solution,
@@ -355,6 +356,8 @@ def _verify_rel2sol_failure_doc(doc: dict) -> None:
 
 def verify_certificate(doc: dict) -> tuple[bool, str]:
     """Re-check every claim in a certificate document."""
+    if not isinstance(doc, dict):
+        return False, "certificate must be a JSON object"
     try:
         kind = doc.get("kind")
         if kind == "solution":
@@ -415,23 +418,23 @@ def verify_certificate(doc: dict) -> tuple[bool, str]:
 
 
 def _reverify_signed(inst, u, v, doc) -> None:
-    from .semiring import SemiringElement, sr_add, sr_equals, sr_mul, sr_scale
-
     backend = inst.backend
-    sa, sb = inst.signs
-    u_sr = SemiringElement.zero(backend, signed=True)
-    for c, g in u:
-        u_sr = sr_add(u_sr, SemiringElement.monomial(backend, g, c, signed=True))
-    v_sr = SemiringElement.zero(backend, signed=True)
-    for c, g in v:
-        v_sr = sr_add(v_sr, SemiringElement.monomial(backend, g, c, signed=True))
-    if u_sr.is_zero and v_sr.is_zero:
+    c = inst.coeff_bound
+    pool_keys = {backend.canonical_key(g) for g in inst.pool}
+    for name, terms in (("u", u), ("v", v)):
+        if len(terms) > inst.max_support:
+            raise OrecertError(f"{name} has more than n = {inst.max_support} support elements")
+        keys = [backend.canonical_key(g) for _, g in terms]
+        if len(set(keys)) != len(keys):
+            raise OrecertError(f"{name} repeats a support element")
+        if not pool_keys.issuperset(keys):
+            raise OrecertError(f"{name} has a support element outside the pool")
+        if any(type(lam) is not int or not 1 <= abs(lam) <= c for lam, _ in terms):
+            raise OrecertError(f"{name} has a coefficient outside 1..{c} in absolute value")
+    if not u and not v:
         raise OrecertError("u = v = 0 is not an admissible solution")
-    a_mono = SemiringElement.monomial(backend, inst.a, 1, signed=True)
-    b_mono = SemiringElement.monomial(backend, inst.b, 1, signed=True)
-    lhs = sr_add(u_sr, sr_scale(sr_mul(a_mono, u_sr), sa))
-    rhs = sr_add(v_sr, sr_scale(sr_mul(b_mono, v_sr), sb))
-    if not sr_equals(lhs, rhs):
+    sol = expand_signed(backend, inst.a, inst.b, inst.signs, u, v)
+    if not sol.verified:
         raise OrecertError("signed identity does not hold")
-    if sr_text(lhs) != doc["lhs"] or sr_text(rhs) != doc["rhs"]:
+    if sr_text(sol.lhs) != doc["lhs"] or sr_text(sol.rhs) != doc["rhs"]:
         raise OrecertError("expanded sides do not match the document")

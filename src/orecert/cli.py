@@ -4,8 +4,9 @@ Subcommands: wp, canon, alt-check, alt-trace, ore-search, ore-signed,
 extract, rel2sol, folner, pool, verify.  Exit codes: 0 success or verified
 or found, 3 bounded search exhausted (a normal negative result), 1
 verification failure, 2 usage error.  Output is deterministic byte for
-byte; --jobs only partitions search work and --seed is reserved for
-randomized test drivers and never affects search order.
+byte.  The searches run serially: --jobs is accepted and changes nothing,
+and --seed is reserved for randomized test drivers and never affects search
+order.
 """
 
 from __future__ import annotations
@@ -222,6 +223,8 @@ def _run(args, out) -> int:
     if args.command == "extract":
         with open(args.certificate, encoding="utf-8") as handle:
             source = json.load(handle)
+        if not isinstance(source, dict):
+            raise OrecertError("certificate must be a JSON object")
         if source.get("kind") not in ("solution", "relations"):
             raise OrecertError("extract needs a solution certificate")
         backend = make_backend(source["backend"])

@@ -6,8 +6,10 @@ The unsigned search looks for multisets U, V over a finite pool with
 (1+a)*U = (1+b)*V in Z+[M].  It backtracks on the signed multiset deficit
 D = (1+a)*U - (1+b)*V: the minimal uncovered canonical key must be fixed by
 whichever side is short there, and by left cancellativity at most two pool
-elements can fix it, so the branching factor is tiny.  Exhaustion within
-the stated bounds is a normal, certifiable outcome.
+elements can fix it, so the branching factor is tiny.  The DFS from a seed
+never adds a U element ordered before the seed, so no solution is searched
+for twice (see ``search_common_multiple``).  Exhaustion within the stated
+bounds is a normal, certifiable outcome.
 
 A found solution induces a labelled digraph on the common vertex multiset:
 one a-edge from a*g to g per occurrence of g in U, one b-edge from b*h to h
@@ -20,7 +22,6 @@ relation back into a solution.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import (
@@ -168,20 +169,28 @@ def verify_solution(backend, a, b, U, V) -> Solution:
 
 
 class _Tables:
-    """Key tables shared by the search workers; immutable after build."""
+    """Pool images under a and b, built once per search.
+
+    Every canonical key is replaced by its rank in sorted key order, so the
+    DFS compares and hashes small ints; rank order is key order, so
+    ``min(D)`` picks the same key as it would on the keys themselves.
+    """
 
     def __init__(self, inst: OreInstance):
         backend = inst.backend
         key = backend.canonical_key
         self.pool = list(inst.pool)
+        keys = [
+            (key(g), key(backend.multiply(inst.a, g)), key(backend.multiply(inst.b, g)))
+            for g in self.pool
+        ]
+        rank = {k: r for r, k in enumerate(sorted({k for ks in keys for k in ks}))}
         self.images_a = []
         self.images_b = []
         cover_u: dict = {}
         cover_v: dict = {}
-        for i, g in enumerate(self.pool):
-            kg = key(g)
-            kag = key(backend.multiply(inst.a, g))
-            kbg = key(backend.multiply(inst.b, g))
+        for i, (kg, kag, kbg) in enumerate(keys):
+            kg, kag, kbg = rank[kg], rank[kag], rank[kbg]
             self.images_a.append((kg, kag))
             self.images_b.append((kg, kbg))
             for k in {kg, kag}:
@@ -203,75 +212,81 @@ def _bump(D: dict, k, delta: int) -> None:
 def search_common_multiple(inst: OreInstance, jobs: int = 1):
     """First solution in seed-then-depth-first order, or an Exhausted report.
 
-    The pool is key-sorted and every branch iterates candidates in pool
-    order, so the result is deterministic; ``jobs`` only partitions the
-    seed loop and the merge keeps the sequential answer.
+    The pool is key-sorted and every branch tries candidates in pool order,
+    so the result is deterministic.  The search runs serially; ``jobs`` is
+    accepted for compatibility and changes nothing.
+
+    Canonical seeding: the DFS from seed ``s`` adds a U element only if its
+    pool index is at least ``s``; V is unrestricted.  So each solution is
+    met only from the least element of its U (the idea of canonical
+    augmentation, B. D. McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998).  The answer is that of the unrestricted search:
+    a DFS reaches every solution that extends its partial (U, V), because
+    whichever side is short at the least key of D must cover that key.  Let
+    s* be the first seed from which the unrestricted search finds anything.
+    No solution has a U element below s*, or an earlier seed would have
+    found it.  The floor only removes branches that contain such an element,
+    so the DFS from s* meets the same first solution, and the seeds before
+    s* still find nothing.
     """
     if inst.signed:
         raise ModeMismatchError("use search_signed for signed instances")
     t = _Tables(inst)
     n = inst.max_support
-    nodes = [0]
+    images_a, images_b, cover_u, cover_v = t.images_a, t.images_b, t.cover_u, t.cover_v
+    nodes = 0
 
-    def from_seed(seed: int):
-        D: dict = {}
-        k1, k2 = t.images_a[seed]
-        _bump(D, k1, 1)
-        _bump(D, k2, 1)
-        U = [seed]
-        V: list[int] = []
-
-        def dfs():
-            nodes[0] += 1
-            if not D:
-                return list(U), list(V)
-            kappa = min(D)
-            if D[kappa] < 0:
-                if len(U) == n:
-                    return None
-                for gi in t.cover_u.get(kappa, ()):
-                    j1, j2 = t.images_a[gi]
-                    _bump(D, j1, 1)
-                    _bump(D, j2, 1)
-                    U.append(gi)
-                    hit = dfs()
-                    U.pop()
-                    _bump(D, j1, -1)
-                    _bump(D, j2, -1)
-                    if hit:
-                        return hit
-            else:
-                if len(V) == n:
-                    return None
-                for hi in t.cover_v.get(kappa, ()):
-                    j1, j2 = t.images_b[hi]
-                    _bump(D, j1, -1)
-                    _bump(D, j2, -1)
-                    V.append(hi)
-                    hit = dfs()
-                    V.pop()
-                    _bump(D, j1, 1)
-                    _bump(D, j2, 1)
-                    if hit:
-                        return hit
-            return None
-
-        return dfs()
+    def dfs(D, U, V, floor):
+        nonlocal nodes
+        nodes += 1
+        if not D:
+            return list(U), list(V)
+        kappa = min(D)
+        if D[kappa] < 0:
+            if len(U) == n:
+                return None
+            for gi in cover_u.get(kappa, ()):
+                if gi < floor:
+                    continue
+                j1, j2 = images_a[gi]
+                _bump(D, j1, 1)
+                _bump(D, j2, 1)
+                U.append(gi)
+                hit = dfs(D, U, V, floor)
+                U.pop()
+                _bump(D, j1, -1)
+                _bump(D, j2, -1)
+                if hit:
+                    return hit
+        else:
+            if len(V) == n:
+                return None
+            for hi in cover_v.get(kappa, ()):
+                j1, j2 = images_b[hi]
+                _bump(D, j1, -1)
+                _bump(D, j2, -1)
+                V.append(hi)
+                hit = dfs(D, U, V, floor)
+                V.pop()
+                _bump(D, j1, 1)
+                _bump(D, j2, 1)
+                if hit:
+                    return hit
+        return None
 
     hit = None
-    if jobs <= 1:
-        for seed in range(len(t.pool)):
-            hit = from_seed(seed)
-            if hit:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(from_seed, range(len(t.pool))):
-                if result:
-                    hit = result
-                    break
+    for seed in range(len(t.pool)):
+        D: dict = {}
+        for k in images_a[seed]:
+            _bump(D, k, 1)
+        hit = dfs(D, [seed], [], seed)
+        if hit:
+            break
+    # dfs holds itself through its closure; unbinding it frees the tables on
+    # return instead of at the next cyclic garbage collection.
+    del dfs
     if hit is None:
-        return Exhausted(inst.bounds(), len(t.pool), nodes[0])
+        return Exhausted(inst.bounds(), len(t.pool), nodes)
     U = [t.pool[i] for i in hit[0]]
     V = [t.pool[i] for i in hit[1]]
     return verify_solution(inst.backend, inst.a, inst.b, U, V)
@@ -290,11 +305,51 @@ def _coeff_order(bound: int):
     return out
 
 
+def expand_signed(backend, a, b, signs, u, v) -> SignedSolution:
+    """Both sides of (1 + sa*a) u = (1 + sb*b) v in Z[M].
+
+    ``u`` and ``v`` are (coefficient, element) terms; they come back
+    key-sorted, and ``verified`` says whether the two sides agree.
+    """
+
+    def side(terms, factor, sign):
+        terms = tuple(sorted(terms, key=lambda term: backend.canonical_key(term[1])))
+        total = SemiringElement.zero(backend, signed=True)
+        for lam, g in terms:
+            total = sr_add(total, SemiringElement.monomial(backend, g, lam, signed=True))
+        mono = SemiringElement.monomial(backend, factor, 1, signed=True)
+        return terms, sr_add(total, sr_scale(sr_mul(mono, total), sign))
+
+    sa, sb = signs
+    u_terms, lhs = side(u, a, sa)
+    v_terms, rhs = side(v, b, sb)
+    return SignedSolution(u_terms, v_terms, lhs, rhs, sr_equals(lhs, rhs))
+
+
 def search_signed(inst: OreInstance, jobs: int = 1):
     """Bounded search for (1 +/- a) u = (1 +/- b) v in Z[M].
 
     Supports live in the pool, coefficients in [-c, c] without zero, at
     most ``max_support`` support elements per side, u = v = 0 excluded.
+    The search runs serially; ``jobs`` is accepted for compatibility and
+    changes nothing.
+
+    Canonical seeding: a seed is a (side, pool index) with a positive
+    coefficient, and the DFS from it adds no element ordered before the
+    seed in (side, index) order.  A U-seed (0, s) allows U elements from s
+    on and any V element; a V-seed (1, s) allows no U element and V
+    elements from s on.  The answer is that of the unrestricted search,
+    which seeds every (side, index, +/-coefficient).  A DFS reaches every
+    solution that extends its partial (u, v), because some remaining
+    support element must cover the least key of D.  The equation is
+    linear, so (-u, -v) is a solution whenever (u, v) is, and the first
+    seed s* from which the unrestricted search finds anything has a
+    positive coefficient.  No solution has a support element ordered
+    before s*, or an earlier seed would have found it or its negation.
+    The floor only removes branches that contain such an element, so the
+    DFS from s* meets the same first solution, and the seeds before s*
+    still find nothing.  This is canonical augmentation (B. D. McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
     """
     if not inst.signed or not inst.coeff_bound:
         raise ModeMismatchError("signed search needs signed mode and a coefficient bound")
@@ -302,106 +357,77 @@ def search_signed(inst: OreInstance, jobs: int = 1):
     c = inst.coeff_bound
     n = inst.max_support
     t = _Tables(inst)
+    images_a, images_b, cover_u, cover_v = t.images_a, t.images_b, t.cover_u, t.cover_v
     coeffs = _coeff_order(c)
-    nodes = [0]
+    nodes = 0
 
     def apply_u(D, gi, lam):
-        kg, kag = t.images_a[gi]
+        kg, kag = images_a[gi]
         _bump(D, kg, lam)
         _bump(D, kag, sa * lam)
 
     def apply_v(D, hi, lam):
-        kh, kbh = t.images_b[hi]
+        kh, kbh = images_b[hi]
         _bump(D, kh, -lam)
         _bump(D, kbh, -sb * lam)
 
-    def from_seed(seed):
-        side, idx, lam = seed
+    def dfs(D, u, v, u_floor, v_floor):
+        nonlocal nodes
+        nodes += 1
+        if not D:
+            return dict(u), dict(v)
+        kappa = min(D)
+        if len(u) < n:
+            for gi in cover_u.get(kappa, ()):
+                if gi < u_floor or gi in u:
+                    continue
+                for lam in coeffs:
+                    apply_u(D, gi, lam)
+                    u[gi] = lam
+                    hit = dfs(D, u, v, u_floor, v_floor)
+                    del u[gi]
+                    apply_u(D, gi, -lam)
+                    if hit:
+                        return hit
+        if len(v) < n:
+            for hi in cover_v.get(kappa, ()):
+                if hi < v_floor or hi in v:
+                    continue
+                for lam in coeffs:
+                    apply_v(D, hi, lam)
+                    v[hi] = lam
+                    hit = dfs(D, u, v, u_floor, v_floor)
+                    del v[hi]
+                    apply_v(D, hi, -lam)
+                    if hit:
+                        return hit
+        return None
+
+    size = len(t.pool)
+    seeds = ((side, idx, lam) for side in (0, 1) for idx in range(size)
+             for lam in range(1, c + 1))
+    hit = None
+    for side, idx, lam in seeds:
         D: dict = {}
-        u: dict[int, int] = {}
-        v: dict[int, int] = {}
         if side == 0:
             apply_u(D, idx, lam)
-            u[idx] = lam
+            hit = dfs(D, {idx: lam}, {}, idx, 0)
         else:
             apply_v(D, idx, lam)
-            v[idx] = lam
-
-        def dfs():
-            nodes[0] += 1
-            if not D:
-                return dict(u), dict(v)
-            kappa = min(D)
-            for gi in t.cover_u.get(kappa, ()):
-                if gi in u or len(u) == n:
-                    continue
-                for lam2 in coeffs:
-                    apply_u(D, gi, lam2)
-                    u[gi] = lam2
-                    hit = dfs()
-                    del u[gi]
-                    apply_u(D, gi, -lam2)
-                    if hit:
-                        return hit
-            for hi in t.cover_v.get(kappa, ()):
-                if hi in v or len(v) == n:
-                    continue
-                for lam2 in coeffs:
-                    apply_v(D, hi, lam2)
-                    v[hi] = lam2
-                    hit = dfs()
-                    del v[hi]
-                    apply_v(D, hi, -lam2)
-                    if hit:
-                        return hit
-            return None
-
-        return dfs()
-
-    seeds = [
-        (side, idx, lam)
-        for side in (0, 1)
-        for idx in range(len(t.pool))
-        for lam in coeffs
-    ]
-    hit = None
-    if jobs <= 1:
-        for seed in seeds:
-            hit = from_seed(seed)
-            if hit:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(from_seed, seeds):
-                if result:
-                    hit = result
-                    break
+            hit = dfs(D, {}, {idx: lam}, size, idx)
+        if hit:
+            break
+    del dfs  # frees the tables now, as in search_common_multiple
     if hit is None:
-        return Exhausted(inst.bounds(), len(t.pool), nodes[0])
-    backend = inst.backend
-    u_terms = sorted(
-        ((backend.canonical_key(t.pool[i]), t.pool[i], lam) for i, lam in hit[0].items())
+        return Exhausted(inst.bounds(), size, nodes)
+    sol = expand_signed(
+        inst.backend, inst.a, inst.b, inst.signs,
+        [(lam, t.pool[i]) for i, lam in hit[0].items()],
+        [(lam, t.pool[i]) for i, lam in hit[1].items()],
     )
-    v_terms = sorted(
-        ((backend.canonical_key(t.pool[i]), t.pool[i], lam) for i, lam in hit[1].items())
-    )
-    u_sr = SemiringElement.zero(backend, signed=True)
-    for _, g, lam in u_terms:
-        u_sr = sr_add(u_sr, SemiringElement.monomial(backend, g, lam, signed=True))
-    v_sr = SemiringElement.zero(backend, signed=True)
-    for _, g, lam in v_terms:
-        v_sr = sr_add(v_sr, SemiringElement.monomial(backend, g, lam, signed=True))
-    a_mono = SemiringElement.monomial(backend, inst.a, 1, signed=True)
-    b_mono = SemiringElement.monomial(backend, inst.b, 1, signed=True)
-    lhs = sr_add(u_sr, sr_scale(sr_mul(a_mono, u_sr), sa))
-    rhs = sr_add(v_sr, sr_scale(sr_mul(b_mono, v_sr), sb))
-    if not sr_equals(lhs, rhs):
+    if not sol.verified:
         raise VerificationError("signed solution failed verification")
-    return SignedSolution(
-        tuple((lam, g) for _, g, lam in u_terms),
-        tuple((lam, g) for _, g, lam in v_terms),
-        lhs, rhs, True,
-    )
+    return sol
 
 
 # ---------------------------------------------------------------------------

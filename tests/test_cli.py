@@ -269,3 +269,73 @@ def test_jobs_do_not_change_output():
         "--format", "json",
     )
     assert run(*argv, "--jobs", "1") == run(*argv, "--jobs", "4")
+
+
+def _signed_zm2_doc():
+    code, out, _ = run(
+        "ore-signed", "--backend", "zm:2", "--a", "a", "--b", "b",
+        "--max-support", "2", "--pool-len", "1", "--coeff-bound", "1",
+        "--signs=mm", "--format", "json",
+    )
+    assert code == 0
+    return json.loads(out)
+
+
+def _verify_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return run("verify", str(path))
+
+
+def test_verify_signed_rejects_support_beyond_n(tmp_path):
+    doc = _signed_zm2_doc()
+    assert _verify_doc(tmp_path, doc)[:2] == (0, "verified: ok\n")
+    doc["bounds"]["n"] = 1
+    code, out, _ = _verify_doc(tmp_path, doc)
+    assert code == 1
+    assert "more than n = 1 support elements" in out
+
+
+def _doubled(doc):
+    doc["u"] = [[2 * c, g] for c, g in doc["u"]]
+    doc["v"] = [[2 * c, g] for c, g in doc["v"]]
+    doc["lhs"] = doc["lhs"].replace("1*", "2*")
+    doc["rhs"] = doc["rhs"].replace("1*", "2*")
+
+
+def _cancelling_pair(doc):
+    doc["bounds"]["n"] = 4
+    doc["u"] += [[1, "(1,0)"], [-1, "(1,0)"]]
+
+
+def _shrunk_pool(doc):
+    doc["bounds"]["L"] = 0
+
+
+def test_verify_signed_rejects_out_of_bounds_terms(tmp_path):
+    # Each edit keeps the signed identity true, so only the bound checks
+    # can catch it.
+    cases = [
+        (_doubled, "coefficient outside 1..1"),
+        (_cancelling_pair, "repeats a support element"),
+        (_shrunk_pool, "outside the pool"),
+    ]
+    for edit, message in cases:
+        doc = _signed_zm2_doc()
+        edit(doc)
+        code, out, _ = _verify_doc(tmp_path, doc)
+        assert code == 1, edit.__name__
+        assert out.startswith("verification failed") and message in out
+
+
+def test_non_object_json_is_rejected_without_traceback(tmp_path):
+    path = tmp_path / "doc.json"
+    for text in ("[]", "3", '"x"'):
+        path.write_text(text)
+        code, out, err = run("verify", str(path))
+        assert (code, out, err) == (
+            1, "verification failed: certificate must be a JSON object\n", "",
+        )
+        code, out, err = run("extract", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: certificate must be a JSON object\n"
