@@ -1,9 +1,13 @@
 """Self-contained JSON certificates and their re-verification.
 
-Every command of the CLI can emit a certificate document; ``verify`` reads
-one back and re-checks every claim it makes, re-running bounded searches
-for exhaustion claims.  All documents are serialised with sorted keys so
-byte-identical output is a function of content only.
+Each certificate kind is derived by one function from typed inputs; the CLI
+calls it to emit a document, and ``verify`` reads the inputs back from a
+document, derives it again and accepts only if the two serialise to the
+same bytes.  Claims a derivation cannot reproduce are checked on their own:
+an exhaustion re-runs its search, a signed solution has its bounds checked,
+and a solution's |U| and |V| must not exceed n.  All documents are
+serialised with sorted keys so byte-identical output is a function of
+content only.
 """
 
 from __future__ import annotations
@@ -11,10 +15,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import NotEmbeddableError, OrecertError
-from .folner import FolnerReport, check_delta, check_epsilon, folner_ratios
-from .groups import alt_trace, make_backend, verify_trace
-from .groups.trace import AltTrace, TraceStep
+from .errors import NotEmbeddableError, OrecertError, VerificationError
+from .folner import check_delta, check_epsilon, folner_ratios
+from .groups import alt_trace, make_backend
 from .ore import (
     Exhausted,
     OreInstance,
@@ -52,8 +55,9 @@ def _signs_from_str(s: str) -> tuple[int, int]:
     return table[s[0]], table[s[1]]  # type: ignore[return-value]
 
 
-def _bounds_doc(bounds: dict) -> dict:
-    return {k: bounds.get(k) for k in ("n", "L", "K", "c")}
+# ---------------------------------------------------------------------------
+# derivations
+# ---------------------------------------------------------------------------
 
 
 def _instance_doc(inst: OreInstance) -> dict:
@@ -62,7 +66,7 @@ def _instance_doc(inst: OreInstance) -> dict:
         "backend": backend.name,
         "a": backend.canonical_str(inst.a),
         "b": backend.canonical_str(inst.b),
-        "bounds": _bounds_doc(inst.bounds()),
+        "bounds": inst.bounds(),
         "mode": "signed" if inst.signed else "unsigned",
         "signs": _signs_str(inst.signs) if inst.signed else None,
         "pool_size": len(inst.pool),
@@ -70,82 +74,92 @@ def _instance_doc(inst: OreInstance) -> dict:
 
 
 def solution_certificate(inst: OreInstance, sol: Solution) -> dict:
-    backend = inst.backend
-    doc = _instance_doc(inst)
-    doc.update(
-        {
-            "kind": "solution",
-            "U": [backend.canonical_str(x) for x in sol.U],
-            "V": [backend.canonical_str(x) for x in sol.V],
-            "lhs": sr_text(sol.lhs),
-            "rhs": sr_text(sol.rhs),
-            "verified": sol.verified,
-        }
-    )
-    return doc
+    key_str = inst.backend.canonical_str
+    return {
+        **_instance_doc(inst),
+        "kind": "solution",
+        "U": [key_str(x) for x in sol.U],
+        "V": [key_str(x) for x in sol.V],
+        "lhs": sr_text(sol.lhs),
+        "rhs": sr_text(sol.rhs),
+        "verified": sol.verified,
+    }
 
 
 def exhausted_certificate(inst: OreInstance) -> dict:
-    doc = _instance_doc(inst)
-    doc.update({"kind": "exhausted", "verified": True})
-    return doc
+    return {**_instance_doc(inst), "kind": "exhausted", "verified": True}
 
 
 def signed_certificate(inst: OreInstance, out: SignedSolution) -> dict:
+    key_str = inst.backend.canonical_str
+    return {
+        **_instance_doc(inst),
+        "kind": "signed",
+        "u": [[c, key_str(g)] for c, g in out.u],
+        "v": [[c, key_str(g)] for c, g in out.v],
+        "lhs": sr_text(out.lhs),
+        "rhs": sr_text(out.rhs),
+        "verified": out.verified,
+    }
+
+
+def relations_certificate(inst: OreInstance, sol: Solution) -> dict:
+    """The relation graph of a solution and the relations its cycles spell."""
     backend = inst.backend
-    doc = _instance_doc(inst)
-    doc.update(
-        {
-            "kind": "signed",
-            "u": [[c, backend.canonical_str(g)] for c, g in out.u],
-            "v": [[c, backend.canonical_str(g)] for c, g in out.v],
-            "lhs": sr_text(out.lhs),
-            "rhs": sr_text(out.rhs),
-            "verified": out.verified,
+    graph = build_relation_graph(backend, inst.a, inst.b, sol)
+    relations = extract_cycles(graph, backend, inst.a, inst.b)
+
+    def vid(vertex):
+        key, occ = vertex
+        return f"{backend.canonical_str(graph.elements[key])}#{occ}"
+
+    return {
+        **solution_certificate(inst, sol),
+        "kind": "relations",
+        "vertices": [vid(v) for v in graph.vertices],
+        "a_edges": [[vid(e.source), vid(e.target)] for e in graph.a_edges],
+        "b_edges": [[vid(e.source), vid(e.target)] for e in graph.b_edges],
+        "relations": [print_word(r.word) for r in relations],
+        "verified": all(r.verified for r in relations) and sol.verified,
+    }
+
+
+def rel2sol_certificate(backend, a, b, text: str, length: int, max_index) -> dict:
+    """The solution walked from the relation ``text``, or, on a monoid, the
+    claim that no translate by a pool element embeds its vertices."""
+    word = parse_word(text, LABEL_ALPHABET)
+    pool = None if backend.is_group else enumerate_pool(backend, length, max_index)
+    try:
+        sol = relation_to_solution(backend, a, b, word, pool=pool)
+    except NotEmbeddableError:
+        return {
+            "kind": "rel2sol-failure",
+            "backend": backend.name,
+            "a": backend.canonical_str(a),
+            "b": backend.canonical_str(b),
+            "word": text,
+            "bounds": {"L": length, "K": max_index},
+            "reason": "vertices not embeddable in monoid",
+            "verified": True,
         }
-    )
-    return doc
+    inst = make_instance(backend, a, b, len(sol.U), length, max_index)
+    return solution_certificate(inst, sol)
 
 
-def _vertex_id(backend, elements, vertex) -> str:
-    key, occ = vertex
-    return f"{backend.canonical_str(elements[key])}#{occ}"
-
-
-def relations_certificate(inst: OreInstance, sol: Solution, graph, relations) -> dict:
-    backend = inst.backend
-    doc = solution_certificate(inst, sol)
-
-    def vid(v):
-        return _vertex_id(backend, graph.elements, v)
-
-    doc.update(
+def trace_certificate(word) -> dict:
+    trace = alt_trace(word)
+    steps = [
         {
-            "kind": "relations",
-            "vertices": [vid(v) for v in graph.vertices],
-            "a_edges": [[vid(e.source), vid(e.target)] for e in graph.a_edges],
-            "b_edges": [[vid(e.source), vid(e.target)] for e in graph.b_edges],
-            "relations": [print_word(r.word) for r in relations],
-            "verified": all(r.verified for r in relations) and sol.verified,
+            "rule": s.rule,
+            "input": print_word(s.input_word),
+            "output": print_word(s.output_word),
+            "alpha": s.alpha,
+            "rotation": s.rotation,
+            "conjugator": None if s.conjugator is None else print_word(s.conjugator),
+            "witness": s.witness,
         }
-    )
-    return doc
-
-
-def trace_certificate(trace: AltTrace) -> dict:
-    steps = []
-    for s in trace.steps:
-        steps.append(
-            {
-                "rule": s.rule,
-                "input": print_word(s.input_word),
-                "output": print_word(s.output_word),
-                "alpha": s.alpha,
-                "rotation": s.rotation,
-                "conjugator": None if s.conjugator is None else print_word(s.conjugator),
-                "witness": s.witness,
-            }
-        )
+        for s in trace.steps
+    ]
     return {
         "kind": "trace",
         "word": print_word(trace.word),
@@ -160,9 +174,10 @@ def _ratio_pair(fr: Fraction) -> dict:
     return {"exact": str(fr), "approx": float(fr)}
 
 
-def folner_certificate(backend, generators, E, report: FolnerReport,
-                       epsilon=None, delta=None, success=None) -> dict:
-    doc = {
+def folner_certificate(backend, generators, E, epsilon, delta, success: bool) -> dict:
+    report = folner_ratios(backend, E, generators)
+    epsilon_ok = None if epsilon is None else check_epsilon(report, epsilon)
+    return {
         "kind": "folner",
         "backend": backend.name,
         "generators": [label for label, _ in generators],
@@ -180,17 +195,19 @@ def folner_certificate(backend, generators, E, report: FolnerReport,
         ],
         "min_intersection_ratio": _ratio_pair(report.min_intersection_ratio),
         "max_symdiff_ratio": _ratio_pair(report.max_symdiff_ratio),
-        "epsilon": None if epsilon is None else str(Fraction(epsilon)),
-        "delta": None if delta is None else str(Fraction(delta)),
-        "epsilon_ok": None if epsilon is None else check_epsilon(report, epsilon),
+        "epsilon": None if epsilon is None else str(epsilon),
+        "delta": None if delta is None else str(delta),
+        "epsilon_ok": epsilon_ok,
         "delta_ok": None if delta is None else check_delta(report, delta),
-        "success": success,
+        # success claims that E meets epsilon, so a claim the ratios refute
+        # does not survive re-derivation
+        "success": success and epsilon_ok is True,
         "verified": True,
     }
-    return doc
 
 
-def wp_certificate(backend, word, element) -> dict:
+def wp_certificate(backend, word) -> dict:
+    element = backend.from_word(word)
     return {
         "kind": "wp",
         "backend": backend.name,
@@ -201,223 +218,98 @@ def wp_certificate(backend, word, element) -> dict:
     }
 
 
-def canon_certificate(backend, word, element) -> dict:
+def canon_certificate(backend, word) -> dict:
     return {
         "kind": "canon",
         "backend": backend.name,
         "word": print_word(word),
-        "element": backend.canonical_str(element),
+        "element": backend.canonical_str(backend.from_word(word)),
         "verified": True,
     }
 
 
-def alt_check_certificate(word, cyclic: bool, result: bool) -> dict:
+def alt_check_certificate(word, cyclic: bool) -> dict:
     return {
         "kind": "alt-check",
         "word": print_word(word),
         "cyclic": cyclic,
-        "alternating": result,
+        "alternating": is_alternating(word, cyclic=cyclic),
         "verified": True,
     }
 
 
-def pool_certificate(backend, length, max_index, pool) -> dict:
+def pool_certificate(backend, length: int, max_index) -> dict:
     return {
         "kind": "pool",
         "backend": backend.name,
         "bounds": {"L": length, "K": max_index},
-        "elements": [backend.canonical_str(x) for x in pool],
+        "elements": [backend.canonical_str(x) for x in enumerate_pool(backend, length, max_index)],
         "verified": True,
     }
 
 
 # ---------------------------------------------------------------------------
-# re-verification
+# reading inputs back from a document
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_instance(doc: dict) -> OreInstance:
-    backend = make_backend(doc["backend"])
-    bounds = doc["bounds"]
-    signed = doc.get("mode") == "signed"
+def _get(doc: dict, key: str, kind: type, optional: bool = False):
+    """The field ``key`` of ``doc``, which must have exactly type ``kind``
+    (so ``true`` is no int), or be null when ``optional``."""
+    value = doc.get(key)
+    if value is None and optional:
+        return None
+    if type(value) is not kind:
+        expected = kind.__name__ + (" or null" if optional else "")
+        raise OrecertError(f"field {key!r} must be {expected}")
+    return value
+
+
+def _strings(doc: dict, key: str) -> list:
+    values = _get(doc, key, list)
+    if not all(type(v) is str for v in values):
+        raise OrecertError(f"field {key!r} must be a list of strings")
+    return values
+
+
+def _backend(doc: dict):
+    return make_backend(_get(doc, "backend", str))
+
+
+def _fraction(doc: dict, key: str):
+    text = _get(doc, key, str, optional=True)
+    return None if text is None else Fraction(text)
+
+
+def _instance(doc: dict) -> OreInstance:
+    backend = _backend(doc)
+    a, b = (backend.element_from_str(_get(doc, key, str)) for key in "ab")
+    bounds = _get(doc, "bounds", dict)
+    signed = _get(doc, "mode", str) == "signed"
     return make_instance(
-        backend,
-        backend.element_from_str(doc["a"]),
-        backend.element_from_str(doc["b"]),
-        bounds["n"],
-        bounds["L"],
-        bounds["K"],
+        backend, a, b,
+        _get(bounds, "n", int),
+        _get(bounds, "L", int),
+        _get(bounds, "K", int, optional=True),
         signed=signed,
-        coeff_bound=bounds.get("c"),
-        signs=_signs_from_str(doc["signs"]) if signed else (1, 1),
+        coeff_bound=_get(bounds, "c", int, optional=True),
+        signs=_signs_from_str(_get(doc, "signs", str)) if signed else (1, 1),
     )
 
 
-def _verify_solution_doc(doc: dict) -> None:
-    backend = make_backend(doc["backend"])
-    a = backend.element_from_str(doc["a"])
-    b = backend.element_from_str(doc["b"])
-    U = [backend.element_from_str(s) for s in doc["U"]]
-    V = [backend.element_from_str(s) for s in doc["V"]]
-    sol = verify_solution(backend, a, b, U, V)
-    if [backend.canonical_str(x) for x in sol.U] != doc["U"]:
-        raise OrecertError("U is not in canonical order")
-    if [backend.canonical_str(x) for x in sol.V] != doc["V"]:
-        raise OrecertError("V is not in canonical order")
-    if sr_text(sol.lhs) != doc["lhs"] or sr_text(sol.rhs) != doc["rhs"]:
-        raise OrecertError("expanded sides do not match the document")
+def solution_inputs(doc: dict) -> tuple[OreInstance, Solution]:
+    """The instance and the re-verified solution a solution or relations
+    document states; |U| and |V| may not exceed its n."""
+    inst = _instance(doc)
+    backend = inst.backend
+    U = [backend.element_from_str(s) for s in _strings(doc, "U")]
+    V = [backend.element_from_str(s) for s in _strings(doc, "V")]
+    if max(len(U), len(V)) > inst.max_support:
+        raise VerificationError(f"U or V has more than n = {inst.max_support} elements")
+    return inst, verify_solution(backend, inst.a, inst.b, U, V)
 
 
-def _verify_relations_doc(doc: dict) -> None:
-    _verify_solution_doc(doc)
-    backend = make_backend(doc["backend"])
-    a = backend.element_from_str(doc["a"])
-    b = backend.element_from_str(doc["b"])
-    U = [backend.element_from_str(s) for s in doc["U"]]
-    V = [backend.element_from_str(s) for s in doc["V"]]
-    sol = verify_solution(backend, a, b, U, V)
-    graph = build_relation_graph(backend, a, b, sol)
-    relations = extract_cycles(graph, backend, a, b)
-
-    def vid(v):
-        return _vertex_id(backend, graph.elements, v)
-
-    if [vid(v) for v in graph.vertices] != doc["vertices"]:
-        raise OrecertError("vertex list mismatch")
-    if [[vid(e.source), vid(e.target)] for e in graph.a_edges] != doc["a_edges"]:
-        raise OrecertError("a-edge list mismatch")
-    if [[vid(e.source), vid(e.target)] for e in graph.b_edges] != doc["b_edges"]:
-        raise OrecertError("b-edge list mismatch")
-    if [print_word(r.word) for r in relations] != doc["relations"]:
-        raise OrecertError("relation list mismatch")
-
-
-def _verify_trace_doc(doc: dict) -> None:
-    alphabet = Alphabet.indexed()
-    word = parse_word(doc["word"], alphabet)
-    steps = []
-    for s in doc["steps"]:
-        steps.append(
-            TraceStep(
-                s["rule"],
-                parse_word(s["input"], alphabet),
-                parse_word(s["output"], alphabet),
-                alpha=s["alpha"],
-                rotation=s["rotation"],
-                conjugator=None
-                if s["conjugator"] is None
-                else parse_word(s["conjugator"], alphabet),
-                witness=s["witness"],
-            )
-        )
-    trace = AltTrace(word, tuple(steps), doc["verdict"], doc["witness"])
-    if not verify_trace(trace):
-        raise OrecertError("trace steps failed backend verification")
-    if trace_certificate(alt_trace(word)) != {**doc, "verified": True}:
-        raise OrecertError("trace differs from the deterministic recomputation")
-
-
-def _verify_folner_doc(doc: dict) -> None:
-    backend = make_backend(doc["backend"])
-    generators = [
-        (label, backend.from_text(label)) for label in doc["generators"]
-    ]
-    E = [backend.element_from_str(s) for s in doc["E"]]
-    report = folner_ratios(backend, E, generators)
-    regenerated = folner_certificate(
-        backend,
-        generators,
-        E,
-        report,
-        epsilon=None if doc["epsilon"] is None else Fraction(doc["epsilon"]),
-        delta=None if doc["delta"] is None else Fraction(doc["delta"]),
-        success=doc["success"],
-    )
-    if regenerated != doc:
-        raise OrecertError("ratio report does not match the document")
-    if doc["success"] and doc["epsilon_ok"] is False:
-        raise OrecertError("claimed success contradicts the epsilon check")
-
-
-def _verify_rel2sol_failure_doc(doc: dict) -> None:
-    backend = make_backend(doc["backend"])
-    a = backend.element_from_str(doc["a"])
-    b = backend.element_from_str(doc["b"])
-    word = parse_word(doc["word"], LABEL_ALPHABET)
-    pool = None
-    if not backend.is_group:
-        pool = enumerate_pool(backend, doc["bounds"]["L"], doc["bounds"]["K"])
-    try:
-        relation_to_solution(backend, a, b, word, pool=pool)
-    except NotEmbeddableError:
-        return
-    raise OrecertError("relation embeds after all; failure claim is wrong")
-
-
-def verify_certificate(doc: dict) -> tuple[bool, str]:
-    """Re-check every claim in a certificate document."""
-    if not isinstance(doc, dict):
-        return False, "certificate must be a JSON object"
-    try:
-        kind = doc.get("kind")
-        if kind == "solution":
-            _verify_solution_doc(doc)
-        elif kind == "exhausted":
-            inst = _rebuild_instance(doc)
-            if len(inst.pool) != doc["pool_size"]:
-                raise OrecertError("pool size mismatch")
-            outcome = (
-                search_signed(inst) if inst.signed else search_common_multiple(inst)
-            )
-            if not isinstance(outcome, Exhausted):
-                raise OrecertError("a solution exists within the stated bounds")
-        elif kind == "signed":
-            inst = _rebuild_instance(doc)
-            backend = inst.backend
-            u = [(c, backend.element_from_str(s)) for c, s in doc["u"]]
-            v = [(c, backend.element_from_str(s)) for c, s in doc["v"]]
-            _reverify_signed(inst, u, v, doc)
-        elif kind == "relations":
-            _verify_relations_doc(doc)
-        elif kind == "trace":
-            _verify_trace_doc(doc)
-        elif kind == "folner":
-            _verify_folner_doc(doc)
-        elif kind == "wp":
-            backend = make_backend(doc["backend"])
-            element = backend.from_text(doc["word"])
-            if backend.canonical_str(element) != doc["element"]:
-                raise OrecertError("element mismatch")
-            if backend.is_identity(element) != doc["trivial"]:
-                raise OrecertError("triviality claim mismatch")
-        elif kind == "canon":
-            backend = make_backend(doc["backend"])
-            element = backend.from_text(doc["word"])
-            if backend.canonical_str(element) != doc["element"]:
-                raise OrecertError("element mismatch")
-        elif kind == "alt-check":
-            word = parse_word(doc["word"], Alphabet.indexed())
-            if is_alternating(word, cyclic=doc["cyclic"]) != doc["alternating"]:
-                raise OrecertError("alternation claim mismatch")
-        elif kind == "pool":
-            backend = make_backend(doc["backend"])
-            pool = enumerate_pool(
-                backend, doc["bounds"]["L"], doc["bounds"]["K"]
-            )
-            if [backend.canonical_str(x) for x in pool] != doc["elements"]:
-                raise OrecertError("pool mismatch")
-        elif kind == "rel2sol-failure":
-            _verify_rel2sol_failure_doc(doc)
-        else:
-            return False, f"unknown certificate kind {kind!r}"
-    except OrecertError as exc:
-        return False, str(exc)
-    except (KeyError, ValueError, TypeError) as exc:
-        return False, f"malformed certificate: {exc}"
-    return True, "ok"
-
-
-def _reverify_signed(inst, u, v, doc) -> None:
+def _reverify_signed(inst, u, v) -> SignedSolution:
     backend = inst.backend
     c = inst.coeff_bound
     pool_keys = {backend.canonical_key(g) for g in inst.pool}
@@ -436,5 +328,107 @@ def _reverify_signed(inst, u, v, doc) -> None:
     sol = expand_signed(backend, inst.a, inst.b, inst.signs, u, v)
     if not sol.verified:
         raise OrecertError("signed identity does not hold")
-    if sr_text(sol.lhs) != doc["lhs"] or sr_text(sol.rhs) != doc["rhs"]:
-        raise OrecertError("expanded sides do not match the document")
+    return sol
+
+
+def _signed_terms(doc: dict, key: str, backend) -> list:
+    terms = _get(doc, key, list)
+    if not all(type(t) is list and len(t) == 2 and type(t[1]) is str for t in terms):
+        raise OrecertError(f"field {key!r} must be a list of [coefficient, element] pairs")
+    return [(lam, backend.element_from_str(g)) for lam, g in terms]
+
+
+# Each function re-derives the document from the inputs it states; the
+# signed bound checks come first so that their messages win, and an
+# exhaustion re-runs its search only once the cheap comparison has passed.
+
+
+def _same(doc: dict, rebuilt: dict) -> None:
+    if dumps(rebuilt) != dumps(doc):
+        key = min(k for k in doc.keys() | rebuilt.keys()
+                  if k not in doc or k not in rebuilt or dumps(doc[k]) != dumps(rebuilt[k]))
+        raise OrecertError(f"field {key!r} differs from the re-derived certificate")
+
+
+def _check_exhausted(doc: dict) -> None:
+    inst = _instance(doc)
+    _same(doc, exhausted_certificate(inst))
+    outcome = search_signed(inst) if inst.signed else search_common_multiple(inst)
+    if not isinstance(outcome, Exhausted):
+        raise OrecertError("a solution exists within the stated bounds")
+
+
+def _check_signed(doc: dict) -> None:
+    inst = _instance(doc)
+    u = _signed_terms(doc, "u", inst.backend)
+    v = _signed_terms(doc, "v", inst.backend)
+    _same(doc, signed_certificate(inst, _reverify_signed(inst, u, v)))
+
+
+def _pool_bounds(doc: dict) -> tuple:
+    bounds = _get(doc, "bounds", dict)
+    return _get(bounds, "L", int), _get(bounds, "K", int, optional=True)
+
+
+def _check_rel2sol_failure(doc: dict) -> None:
+    backend = _backend(doc)
+    a, b = (backend.element_from_str(_get(doc, key, str)) for key in "ab")
+    _same(doc, rel2sol_certificate(backend, a, b, _get(doc, "word", str), *_pool_bounds(doc)))
+
+
+def _check_folner(doc: dict) -> None:
+    backend = _backend(doc)
+    _same(doc, folner_certificate(
+        backend,
+        [(label, backend.from_text(label)) for label in _strings(doc, "generators")],
+        [backend.element_from_str(s) for s in _strings(doc, "E")],
+        _fraction(doc, "epsilon"),
+        _fraction(doc, "delta"),
+        _get(doc, "success", bool),
+    ))
+
+
+def _check_word(derive):
+    def check(doc: dict) -> None:
+        backend = _backend(doc)
+        _same(doc, derive(backend, backend.parse(_get(doc, "word", str))))
+    return check
+
+
+def _indexed_word(doc: dict):
+    return parse_word(_get(doc, "word", str), Alphabet.indexed())
+
+
+_CHECKS = {
+    "solution": lambda doc: _same(doc, solution_certificate(*solution_inputs(doc))),
+    "relations": lambda doc: _same(doc, relations_certificate(*solution_inputs(doc))),
+    "exhausted": _check_exhausted,
+    "signed": _check_signed,
+    "rel2sol-failure": _check_rel2sol_failure,
+    "trace": lambda doc: _same(doc, trace_certificate(_indexed_word(doc))),
+    "folner": _check_folner,
+    "wp": _check_word(wp_certificate),
+    "canon": _check_word(canon_certificate),
+    "alt-check": lambda doc: _same(
+        doc, alt_check_certificate(_indexed_word(doc), _get(doc, "cyclic", bool))
+    ),
+    "pool": lambda doc: _same(doc, pool_certificate(_backend(doc), *_pool_bounds(doc))),
+}
+
+
+def verify_certificate(doc: dict) -> tuple[bool, str]:
+    """Re-check every claim in a certificate document."""
+    if not isinstance(doc, dict):
+        return False, "certificate must be a JSON object"
+    kind = doc.get("kind")
+    if type(kind) is not str or kind not in _CHECKS:
+        return False, f"unknown certificate kind {kind!r}"
+    if doc.get("verified") is not True:
+        return False, "the certificate does not claim verified: true"
+    try:
+        _CHECKS[kind](doc)
+    except OrecertError as exc:
+        return False, str(exc)
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        return False, f"malformed certificate: {exc}"
+    return True, "ok"

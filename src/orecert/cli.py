@@ -1,42 +1,30 @@
 """Command-line front end.
 
 Subcommands: wp, canon, alt-check, alt-trace, ore-search, ore-signed,
-extract, rel2sol, folner, pool, verify.  Exit codes: 0 success or verified
-or found, 3 bounded search exhausted (a normal negative result), 1
-verification failure, 2 usage error.  Output is deterministic byte for
-byte.  The searches run serially: --jobs is accepted and changes nothing,
-and --seed is reserved for randomized test drivers and never affects search
-order.
+extract, rel2sol, folner, pool, verify.  Every subcommand but verify derives
+one certificate document; --format json prints it and the table lines are
+read off it.  Exit codes: 0 success or verified or found, 3 bounded search
+exhausted, relation not embeddable or Folner target missed (a normal
+negative result), 1 verification failure, 2 usage error.  Output is
+deterministic byte for byte.  --backend is taken by the subcommands that
+build a backend from it; the searches run serially, and --jobs is accepted
+by ore-search and ore-signed and changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import certificates as certs
-from .errors import (
-    NotARelationError,
-    NotEmbeddableError,
-    OrecertError,
-    VerificationError,
-)
-from .folner import folner_ratios, greedy_folner_search
-from .groups import alt_trace, make_backend
-from .ore import (
-    Exhausted,
-    build_relation_graph,
-    enumerate_pool,
-    extract_cycles,
-    make_instance,
-    relation_to_solution,
-    search_common_multiple,
-    search_signed,
-    verify_solution,
-)
-from .words import Alphabet, is_alternating, parse_word
+from .errors import NotARelationError, OrecertError, VerificationError
+from .folner import greedy_folner_search
+from .groups import make_backend
+from .ore import Exhausted, make_instance, search_common_multiple, search_signed
+from .words import Alphabet, parse_word
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -44,301 +32,227 @@ EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
 
+# ---------------------------------------------------------------------------
+# subcommands: parsed arguments -> certificate document
+# ---------------------------------------------------------------------------
+
+
+def _wp(args) -> dict:
+    backend = make_backend(args.backend)
+    return certs.wp_certificate(backend, backend.parse(args.word))
+
+
+def _canon(args) -> dict:
+    backend = make_backend(args.backend)
+    return certs.canon_certificate(backend, backend.parse(args.word))
+
+
+def _alt_check(args) -> dict:
+    return certs.alt_check_certificate(parse_word(args.word, Alphabet.indexed()), args.cyclic)
+
+
+def _alt_trace(args) -> dict:
+    return certs.trace_certificate(parse_word(args.word, Alphabet.indexed()))
+
+
+def _ore(args) -> dict:
+    signed = args.command == "ore-signed"
+    backend = make_backend(args.backend)
+    inst = make_instance(
+        backend,
+        backend.from_text(args.a),
+        backend.from_text(args.b),
+        args.max_support,
+        args.pool_len,
+        args.pool_idx,
+        signed=signed,
+        coeff_bound=args.coeff_bound if signed else None,
+        signs=certs._signs_from_str(args.signs) if signed else (1, 1),
+    )
+    outcome = (search_signed if signed else search_common_multiple)(inst, jobs=args.jobs)
+    if isinstance(outcome, Exhausted):
+        return certs.exhausted_certificate(inst)
+    return (certs.signed_certificate if signed else certs.solution_certificate)(inst, outcome)
+
+
+def _load(path: str):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _extract(args) -> dict:
+    source = _load(args.certificate)
+    if not isinstance(source, dict):
+        raise OrecertError("certificate must be a JSON object")
+    if source.get("kind") not in ("solution", "relations"):
+        raise OrecertError("extract needs a solution certificate")
+    return certs.relations_certificate(*certs.solution_inputs(source))
+
+
+def _rel2sol(args) -> dict:
+    backend = make_backend(args.backend)
+    return certs.rel2sol_certificate(
+        backend, backend.from_text(args.a), backend.from_text(args.b),
+        args.word, args.pool_len, args.pool_idx,
+    )
+
+
+def _folner(args) -> dict:
+    backend = make_backend(args.backend)
+    generators = backend.generators(args.pool_idx)
+    epsilon = Fraction(args.epsilon)
+    E, _, success = greedy_folner_search(backend, generators, epsilon, args.budget)
+    delta = None if args.delta is None else Fraction(args.delta)
+    return certs.folner_certificate(backend, generators, E, epsilon, delta, success)
+
+
+def _pool(args) -> dict:
+    return certs.pool_certificate(make_backend(args.backend), args.pool_len, args.pool_idx)
+
+
+def _solution_lines(doc):
+    return ["solution", "U: " + ", ".join(doc["U"]), "V: " + ", ".join(doc["V"]),
+            "verified: true"]
+
+
+def _signed_lines(doc):
+    def side(terms):
+        return " + ".join(f"{c}*{g}" for c, g in terms)
+    return ["solution", "u: " + side(doc["u"]), "v: " + side(doc["v"]), "verified: true"]
+
+
+def _trace_lines(doc):
+    lines = [f"step {i}: {s['rule']} {s['input']} -> {s['output']}"
+             for i, s in enumerate(doc["steps"], 1)]
+    return lines + [f"verdict: {doc['verdict']} ({doc['witness']})"]
+
+
+def _folner_lines(doc):
+    lines = [f"success: {'true' if doc['success'] else 'false'}",
+             f"size: {doc['size']}", "E: " + ", ".join(doc["E"])]
+    for s in doc["stats"]:
+        lines.append(f"{s['generator']}: intersection={s['intersection']} "
+                     f"symdiff={s['symdiff']} symdiff_ratio={s['symdiff_ratio']['exact']}")
+    return lines
+
+
+# certificate kind -> its table lines
+_TABLE = {
+    "wp": lambda doc: ["trivial" if doc["trivial"] else "nontrivial"],
+    "canon": lambda doc: [doc["element"]],
+    "alt-check": lambda doc: ["true" if doc["alternating"] else "false"],
+    "trace": _trace_lines,
+    "solution": _solution_lines,
+    "exhausted": lambda doc: ["exhausted"],
+    "signed": _signed_lines,
+    "relations": lambda doc: [f"cycles: {len(doc['relations'])}"]
+    + ["relation: " + r for r in doc["relations"]],
+    "rel2sol-failure": lambda doc: ["not-embeddable"],
+    "folner": _folner_lines,
+    "pool": lambda doc: doc["elements"],
+}
+
+
+def _emit(derive, args, out) -> int:
+    doc = derive(args)
+    if args.format == "json":
+        out.write(certs.dumps(doc))
+    else:
+        out.writelines(line + "\n" for line in _TABLE[doc["kind"]](doc))
+    negative = doc["kind"] in ("exhausted", "rel2sol-failure") or doc.get("success") is False
+    return EXIT_EXHAUSTED if negative else EXIT_OK
+
+
+def _verify(args, out) -> int:
+    ok, message = certs.verify_certificate(_load(args.certificate))
+    out.write(("verified: ok" if ok else f"verification failed: {message}") + "\n")
+    return EXIT_OK if ok else EXIT_VERIFICATION
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orecert")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format="table"):
-        p.add_argument("--backend", default="zm:2")
+    def command(name, help, derive, backend=True, default_format="table"):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=functools.partial(_emit, derive))
+        if backend:
+            p.add_argument("--backend", default="zm:2")
         p.add_argument("--format", choices=("table", "json"), default=default_format)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=None)
+        return p
 
-    p = sub.add_parser("wp", help="word problem: trivial or not")
-    common(p)
+    p = command("wp", "word problem: trivial or not", _wp)
     p.add_argument("word")
 
-    p = sub.add_parser("canon", help="canonical form of a word")
-    common(p)
+    p = command("canon", "canonical form of a word", _canon)
     p.add_argument("word")
 
-    p = sub.add_parser("alt-check", help="alternating-shape predicate")
-    common(p)
+    p = command("alt-check", "alternating-shape predicate", _alt_check, backend=False)
     p.add_argument("--cyclic", action="store_true")
     p.add_argument("word")
 
-    p = sub.add_parser("alt-trace", help="nontriviality trace for alternating words")
-    common(p, default_format="json")
+    p = command("alt-trace", "nontriviality trace for alternating words", _alt_trace,
+                backend=False, default_format="json")
     p.add_argument("word")
 
-    p = sub.add_parser("ore-search", help="search for (1+a)u = (1+b)v in Z+[M]")
-    common(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--max-support", type=int, default=3)
-    p.add_argument("--pool-len", type=int, default=3)
-    p.add_argument("--pool-idx", type=int, default=2)
+    def search(name, help, n, L):
+        p = command(name, help, _ore)
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
+        p.add_argument("--max-support", type=int, default=n)
+        p.add_argument("--pool-len", type=int, default=L)
+        p.add_argument("--pool-idx", type=int, default=2)
+        return p
 
-    p = sub.add_parser("ore-signed", help="search for (1+-a)u = (1+-b)v in Z[M]")
-    common(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--max-support", type=int, default=2)
-    p.add_argument("--pool-len", type=int, default=2)
-    p.add_argument("--pool-idx", type=int, default=2)
+    search("ore-search", "search for (1+a)u = (1+b)v in Z+[M]", 3, 3)
+    p = search("ore-signed", "search for (1+-a)u = (1+-b)v in Z[M]", 2, 2)
     p.add_argument("--coeff-bound", type=int, default=1)
     p.add_argument("--signs", default="++")
 
-    p = sub.add_parser("extract", help="relation graph and cycles of a solution certificate")
-    common(p)
+    p = command("extract", "relation graph and cycles of a solution certificate", _extract,
+                backend=False)
     p.add_argument("certificate")
 
-    p = sub.add_parser("rel2sol", help="rebuild a solution from an alternating relation")
-    common(p)
+    p = command("rel2sol", "rebuild a solution from an alternating relation", _rel2sol)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--pool-len", type=int, default=3)
     p.add_argument("--pool-idx", type=int, default=2)
     p.add_argument("word")
 
-    p = sub.add_parser("folner", help="greedy search for an almost invariant set")
-    common(p)
+    p = command("folner", "greedy search for an almost invariant set", _folner)
     p.add_argument("--epsilon", required=True)
     p.add_argument("--delta", default=None)
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--pool-idx", type=int, default=1)
 
-    p = sub.add_parser("pool", help="enumerate the search pool")
-    common(p)
+    p = command("pool", "enumerate the search pool", _pool)
     p.add_argument("--pool-len", type=int, default=2)
     p.add_argument("--pool-idx", type=int, default=2)
 
     p = sub.add_parser("verify", help="re-check a certificate document")
-    common(p)
+    p.set_defaults(run=_verify)
+    p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("certificate")
 
     return parser
 
 
-def _emit(out, args, doc: dict, table_lines) -> None:
-    if args.format == "json":
-        out.write(certs.dumps(doc))
-    else:
-        for line in table_lines:
-            out.write(line + "\n")
-
-
-def _ore_instance(args, signed=False):
-    backend = make_backend(args.backend)
-    a = backend.from_text(args.a)
-    b = backend.from_text(args.b)
-    return make_instance(
-        backend,
-        a,
-        b,
-        args.max_support,
-        args.pool_len,
-        args.pool_idx,
-        signed=signed,
-        coeff_bound=getattr(args, "coeff_bound", None),
-        signs=certs._signs_from_str(args.signs) if signed else (1, 1),
-    )
-
-
-def _solution_lines(backend, sol):
-    return [
-        "solution",
-        "U: " + ", ".join(backend.canonical_str(x) for x in sol.U),
-        "V: " + ", ".join(backend.canonical_str(x) for x in sol.V),
-        "verified: true",
-    ]
-
-
-def _run(args, out) -> int:
-    if args.command == "wp":
-        backend = make_backend(args.backend)
-        word = backend.parse(args.word)
-        element = backend.from_word(word)
-        trivial = backend.is_identity(element)
-        doc = certs.wp_certificate(backend, word, element)
-        _emit(out, args, doc, ["trivial" if trivial else "nontrivial"])
-        return EXIT_OK
-
-    if args.command == "canon":
-        backend = make_backend(args.backend)
-        word = backend.parse(args.word)
-        element = backend.from_word(word)
-        doc = certs.canon_certificate(backend, word, element)
-        _emit(out, args, doc, [backend.canonical_str(element)])
-        return EXIT_OK
-
-    if args.command == "alt-check":
-        word = parse_word(args.word, Alphabet.indexed())
-        result = is_alternating(word, cyclic=args.cyclic)
-        doc = certs.alt_check_certificate(word, args.cyclic, result)
-        _emit(out, args, doc, ["true" if result else "false"])
-        return EXIT_OK
-
-    if args.command == "alt-trace":
-        word = parse_word(args.word, Alphabet.indexed())
-        trace = alt_trace(word)
-        doc = certs.trace_certificate(trace)
-        lines = []
-        for i, step in enumerate(trace.steps, 1):
-            lines.append(
-                f"step {i}: {step.rule} "
-                f"{doc['steps'][i - 1]['input']} -> {doc['steps'][i - 1]['output']}"
-            )
-        lines.append(f"verdict: {trace.verdict} ({trace.witness})")
-        _emit(out, args, doc, lines)
-        return EXIT_OK
-
-    if args.command == "ore-search":
-        inst = _ore_instance(args)
-        outcome = search_common_multiple(inst, jobs=args.jobs)
-        if isinstance(outcome, Exhausted):
-            _emit(out, args, certs.exhausted_certificate(inst), ["exhausted"])
-            return EXIT_EXHAUSTED
-        doc = certs.solution_certificate(inst, outcome)
-        _emit(out, args, doc, _solution_lines(inst.backend, outcome))
-        return EXIT_OK
-
-    if args.command == "ore-signed":
-        inst = _ore_instance(args, signed=True)
-        outcome = search_signed(inst, jobs=args.jobs)
-        if isinstance(outcome, Exhausted):
-            _emit(out, args, certs.exhausted_certificate(inst), ["exhausted"])
-            return EXIT_EXHAUSTED
-        doc = certs.signed_certificate(inst, outcome)
-        backend = inst.backend
-        lines = [
-            "solution",
-            "u: " + " + ".join(f"{c}*{backend.canonical_str(g)}" for c, g in outcome.u),
-            "v: " + " + ".join(f"{c}*{backend.canonical_str(g)}" for c, g in outcome.v),
-            "verified: true",
-        ]
-        _emit(out, args, doc, lines)
-        return EXIT_OK
-
-    if args.command == "extract":
-        with open(args.certificate, encoding="utf-8") as handle:
-            source = json.load(handle)
-        if not isinstance(source, dict):
-            raise OrecertError("certificate must be a JSON object")
-        if source.get("kind") not in ("solution", "relations"):
-            raise OrecertError("extract needs a solution certificate")
-        backend = make_backend(source["backend"])
-        a = backend.element_from_str(source["a"])
-        b = backend.element_from_str(source["b"])
-        U = [backend.element_from_str(s) for s in source["U"]]
-        V = [backend.element_from_str(s) for s in source["V"]]
-        sol = verify_solution(backend, a, b, U, V)
-        graph = build_relation_graph(backend, a, b, sol)
-        relations = extract_cycles(graph, backend, a, b)
-        inst = make_instance(
-            backend, a, b,
-            source["bounds"]["n"] or len(U),
-            source["bounds"]["L"] or 0,
-            source["bounds"]["K"],
-        )
-        doc = certs.relations_certificate(inst, sol, graph, relations)
-        lines = [f"cycles: {len(relations)}"]
-        lines.extend("relation: " + r for r in doc["relations"])
-        _emit(out, args, doc, lines)
-        return EXIT_OK
-
-    if args.command == "rel2sol":
-        backend = make_backend(args.backend)
-        a = backend.from_text(args.a)
-        b = backend.from_text(args.b)
-        word = parse_word(args.word, certs.LABEL_ALPHABET)
-        pool = None
-        if not backend.is_group:
-            pool = enumerate_pool(backend, args.pool_len, args.pool_idx)
-        try:
-            sol = relation_to_solution(backend, a, b, word, pool=pool)
-        except NotEmbeddableError:
-            _emit(
-                out,
-                args,
-                {
-                    "kind": "rel2sol-failure",
-                    "backend": backend.name,
-                    "a": backend.canonical_str(a),
-                    "b": backend.canonical_str(b),
-                    "word": args.word,
-                    "bounds": {"L": args.pool_len, "K": args.pool_idx},
-                    "reason": "vertices not embeddable in monoid",
-                    "verified": True,
-                },
-                ["not-embeddable"],
-            )
-            return EXIT_EXHAUSTED
-        inst = make_instance(backend, a, b, len(sol.U), args.pool_len, args.pool_idx)
-        doc = certs.solution_certificate(inst, sol)
-        _emit(out, args, doc, _solution_lines(backend, sol))
-        return EXIT_OK
-
-    if args.command == "folner":
-        backend = make_backend(args.backend)
-        generators = backend.generators(args.pool_idx)
-        epsilon = Fraction(args.epsilon)
-        E, report, success = greedy_folner_search(
-            backend, generators, epsilon, args.budget
-        )
-        report = folner_ratios(backend, E, generators)
-        delta = None if args.delta is None else Fraction(args.delta)
-        doc = certs.folner_certificate(
-            backend, generators, E, report, epsilon=epsilon, delta=delta,
-            success=success,
-        )
-        lines = [
-            f"success: {'true' if success else 'false'}",
-            f"size: {report.size}",
-            "E: " + ", ".join(backend.canonical_str(e) for e in E),
-        ]
-        for s in report.per_generator:
-            lines.append(
-                f"{s.label}: intersection={s.intersection} "
-                f"symdiff={s.symdiff} symdiff_ratio={s.symdiff_ratio}"
-            )
-        _emit(out, args, doc, lines)
-        return EXIT_OK if success else EXIT_EXHAUSTED
-
-    if args.command == "pool":
-        backend = make_backend(args.backend)
-        pool = enumerate_pool(backend, args.pool_len, args.pool_idx)
-        doc = certs.pool_certificate(backend, args.pool_len, args.pool_idx, pool)
-        _emit(out, args, doc, [backend.canonical_str(x) for x in pool])
-        return EXIT_OK
-
-    if args.command == "verify":
-        with open(args.certificate, encoding="utf-8") as handle:
-            doc = json.load(handle)
-        ok, message = certs.verify_certificate(doc)
-        out.write(("verified: ok" if ok else f"verification failed: {message}") + "\n")
-        return EXIT_OK if ok else EXIT_VERIFICATION
-
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def main(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _run(args, out)
+        return args.run(args, out)
     except (NotARelationError, VerificationError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_VERIFICATION
-    except NotEmbeddableError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_EXHAUSTED
-    except (OrecertError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (OrecertError, ValueError, ZeroDivisionError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
 
