@@ -124,26 +124,37 @@ def relations_certificate(inst: OreInstance, sol: Solution) -> dict:
     }
 
 
+def _outside_pool(inst: OreInstance, elements) -> bool:
+    key = inst.backend.canonical_key
+    return not {key(g) for g in inst.pool}.issuperset(key(x) for x in elements)
+
+
 def rel2sol_certificate(backend, a, b, text: str, length: int, max_index) -> dict:
-    """The solution walked from the relation ``text``, or, on a monoid, the
-    claim that no translate by a pool element embeds its vertices."""
+    """The solution walked from the relation ``text``, or the claim that it
+    has none in the pool of the stated bounds: on a monoid no translate by a
+    pool element embeds its vertices, on a group the walk, translated so
+    that its least vertex is the identity, leaves the pool."""
     word = parse_word(text, LABEL_ALPHABET)
     pool = None if backend.is_group else enumerate_pool(backend, length, max_index)
     try:
         sol = relation_to_solution(backend, a, b, word, pool=pool)
     except NotEmbeddableError:
-        return {
-            "kind": "rel2sol-failure",
-            "backend": backend.name,
-            "a": backend.canonical_str(a),
-            "b": backend.canonical_str(b),
-            "word": text,
-            "bounds": {"L": length, "K": max_index},
-            "reason": "vertices not embeddable in monoid",
-            "verified": True,
-        }
-    inst = make_instance(backend, a, b, len(sol.U), length, max_index)
-    return solution_certificate(inst, sol)
+        reason = "vertices not embeddable in monoid"
+    else:
+        inst = make_instance(backend, a, b, len(sol.U), length, max_index)
+        if not _outside_pool(inst, sol.U + sol.V):
+            return solution_certificate(inst, sol)
+        reason = f"solution leaves the pool of L = {length}, K = {max_index}"
+    return {
+        "kind": "rel2sol-failure",
+        "backend": backend.name,
+        "a": backend.canonical_str(a),
+        "b": backend.canonical_str(b),
+        "word": text,
+        "bounds": {"L": length, "K": max_index},
+        "reason": reason,
+        "verified": True,
+    }
 
 
 def trace_certificate(word) -> dict:
@@ -299,27 +310,29 @@ def _instance(doc: dict) -> OreInstance:
 
 def solution_inputs(doc: dict) -> tuple[OreInstance, Solution]:
     """The instance and the re-verified solution a solution or relations
-    document states; |U| and |V| may not exceed its n."""
+    document states; |U| and |V| may not exceed its n, and U and V must lie
+    in its pool."""
     inst = _instance(doc)
     backend = inst.backend
     U = [backend.element_from_str(s) for s in _strings(doc, "U")]
     V = [backend.element_from_str(s) for s in _strings(doc, "V")]
     if max(len(U), len(V)) > inst.max_support:
         raise VerificationError(f"U or V has more than n = {inst.max_support} elements")
+    if _outside_pool(inst, U + V):
+        raise VerificationError("U or V has an element outside the pool")
     return inst, verify_solution(backend, inst.a, inst.b, U, V)
 
 
 def _reverify_signed(inst, u, v) -> SignedSolution:
     backend = inst.backend
     c = inst.coeff_bound
-    pool_keys = {backend.canonical_key(g) for g in inst.pool}
     for name, terms in (("u", u), ("v", v)):
         if len(terms) > inst.max_support:
             raise OrecertError(f"{name} has more than n = {inst.max_support} support elements")
         keys = [backend.canonical_key(g) for _, g in terms]
         if len(set(keys)) != len(keys):
             raise OrecertError(f"{name} repeats a support element")
-        if not pool_keys.issuperset(keys):
+        if _outside_pool(inst, [g for _, g in terms]):
             raise OrecertError(f"{name} has a support element outside the pool")
         if any(type(lam) is not int or not 1 <= abs(lam) <= c for lam, _ in terms):
             raise OrecertError(f"{name} has a coefficient outside 1..{c} in absolute value")

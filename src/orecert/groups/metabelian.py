@@ -118,7 +118,10 @@ class MbBackend(Backend):
                 base = vector_from_str(base_part)
                 d = self.alphabet.position(Generator(name))
                 flow[(base, d)] = int(value)
-        return FlowElement(t, _freeze(flow))
+        x = FlowElement(t, _freeze(flow))
+        if boundary_defect(x):
+            raise ValueError(f"flow violates the boundary condition: {s!r}")
+        return x
 
     def generators(self, max_index=None):
         return [

@@ -151,7 +151,6 @@ class FBackend(Backend):
         self.name = "f"
         self.alphabet = Alphabet.indexed()
         self._gen_cache: dict[int, TreePair] = {}
-        self._word_cache: dict[Word, TreePair] = {}
 
     @property
     def identity(self) -> TreePair:
@@ -173,13 +172,6 @@ class FBackend(Backend):
             pair = TreePair(domain, rng)
             self._gen_cache[i] = pair
         return pair
-
-    def from_word(self, w: Word) -> TreePair:
-        cached = self._word_cache.get(w)
-        if cached is None:
-            cached = super().from_word(w)
-            self._word_cache[w] = cached
-        return cached
 
     def multiply(self, x: TreePair, y: TreePair) -> TreePair:
         common = _merge(x.range, y.domain)

@@ -3,13 +3,13 @@ plus the relation-graph constructions connecting solutions to alternating
 relations.
 
 The unsigned search looks for multisets U, V over a finite pool with
-(1+a)*U = (1+b)*V in Z+[M].  It backtracks on the signed multiset deficit
-D = (1+a)*U - (1+b)*V: the minimal uncovered canonical key must be fixed by
-whichever side is short there, and by left cancellativity at most two pool
-elements can fix it, so the branching factor is tiny.  The DFS from a seed
-never adds a U element ordered before the seed, so no solution is searched
-for twice (see ``search_common_multiple``).  Exhaustion within the stated
-bounds is a normal, certifiable outcome.
+(1+a)*U = (1+b)*V in Z+[M]; the signed search for u, v with coefficients
+in [-c, c] and (1 +/- a) u = (1 +/- b) v in Z[M].  Both run one DFS that
+backtracks on the deficit D = lhs - rhs: the minimal uncovered canonical
+key must be covered by an element still to be added, so the branching
+factor is tiny.  The DFS from a seed never adds an element ordered before
+the seed, so no solution is searched for twice (see ``_search``).
+Exhaustion within the stated bounds is a normal, certifiable outcome.
 
 A found solution induces a labelled digraph on the common vertex multiset:
 one a-edge from a*g to g per occurrence of g in U, one b-edge from b*h to h
@@ -70,8 +70,7 @@ class OreInstance:
         }
 
 
-def enumerate_pool(backend: Backend, length: int, max_index: int | None = None,
-                   generators=None) -> list:
+def enumerate_pool(backend: Backend, length: int, max_index: int | None = None) -> list:
     """Ball of radius ``length`` over the generating set, key-sorted.
 
     Group backends include inverse letters.  Elements are deduplicated by
@@ -79,13 +78,9 @@ def enumerate_pool(backend: Backend, length: int, max_index: int | None = None,
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if generators is None:
-        gens = [g for _, g in backend.generators(max_index)]
-    else:
-        gens = list(generators)
-    letters = list(gens)
+    letters = [g for _, g in backend.generators(max_index)]
     if backend.is_group:
-        letters.extend(backend.inverse(g) for g in gens)
+        letters += [backend.inverse(g) for g in letters]
     seen = {backend.canonical_key(backend.identity): backend.identity}
     frontier = [backend.identity]
     for _ in range(length):
@@ -164,19 +159,29 @@ def verify_solution(backend, a, b, U, V) -> Solution:
 
 
 # ---------------------------------------------------------------------------
-# unsigned search
+# search
 # ---------------------------------------------------------------------------
+
+
+def _coeff_order(bound: int) -> list:
+    return [s * m for m in range(1, bound + 1) for s in (1, -1)]
 
 
 class _Tables:
     """Pool images under a and b, built once per search.
 
-    Every canonical key is replaced by its rank in sorted key order, so the
-    DFS compares and hashes small ints; rank order is key order, so
-    ``min(D)`` picks the same key as it would on the keys themselves.
+    Side 0 is u, side 1 is v.  ``images[side][i]`` holds the keys of
+    g = pool[i] and of a*g (side 0) or b*g (side 1); ``cover[side][k]``
+    lists, in pool order, the i whose images include k.  ``steps[side]``
+    lists (lam, d1, d2) in ``coeffs`` order: adding lam*g to u adds lam to
+    the deficit D at g and sa*lam at a*g, adding lam*h to v subtracts lam
+    at h and sb*lam at b*h.  Every canonical key is replaced by its rank in
+    sorted key order, so the DFS compares and hashes small ints; rank order
+    is key order, so ``min(D)`` picks the same key as it would on the keys
+    themselves.
     """
 
-    def __init__(self, inst: OreInstance):
+    def __init__(self, inst: OreInstance, coeffs):
         backend = inst.backend
         key = backend.canonical_key
         self.pool = list(inst.pool)
@@ -185,124 +190,148 @@ class _Tables:
             for g in self.pool
         ]
         rank = {k: r for r, k in enumerate(sorted({k for ks in keys for k in ks}))}
-        self.images_a = []
-        self.images_b = []
-        cover_u: dict = {}
-        cover_v: dict = {}
+        sa, sb = inst.signs
+        self.steps = ([(lam, lam, sa * lam) for lam in coeffs],
+                      [(lam, -lam, -sb * lam) for lam in coeffs])
+        images_a, images_b = self.images = ([], [])
+        cover_u, cover_v = self.cover = ({}, {})
         for i, (kg, kag, kbg) in enumerate(keys):
             kg, kag, kbg = rank[kg], rank[kag], rank[kbg]
-            self.images_a.append((kg, kag))
-            self.images_b.append((kg, kbg))
+            images_a.append((kg, kag))
+            images_b.append((kg, kbg))
             for k in {kg, kag}:
                 cover_u.setdefault(k, []).append(i)
             for k in {kg, kbg}:
                 cover_v.setdefault(k, []).append(i)
-        self.cover_u = cover_u
-        self.cover_v = cover_v
 
 
-def _bump(D: dict, k, delta: int) -> None:
-    new = D.get(k, 0) + delta
+def _shift(D: dict, k1, d1: int, k2, d2: int) -> None:
+    """Add d1 to D at k1 and d2 at k2, dropping entries that reach zero."""
+    new = D.get(k1, 0) + d1
     if new:
-        D[k] = new
+        D[k1] = new
     else:
-        D.pop(k, None)
+        del D[k1]
+    new = D.get(k2, 0) + d2
+    if new:
+        D[k2] = new
+    else:
+        del D[k2]
 
 
-def search_common_multiple(inst: OreInstance, jobs: int = 1):
-    """First solution in seed-then-depth-first order, or an Exhausted report.
+def _search(inst: OreInstance, coeffs, seeds, distinct: bool, movers):
+    """First solution in seed-then-depth-first order, as the (coefficient,
+    element) terms of u and v, or an Exhausted report.
 
-    The pool is key-sorted and every branch tries candidates in pool order,
-    so the result is deterministic.  The search runs serially; ``jobs`` is
-    accepted for compatibility and changes nothing.
+    The DFS backtracks on the deficit D = (1 + sa*a) u - (1 + sb*b) v.  Some
+    element still to be added must cover the least key kappa of D, so the
+    DFS adds only elements whose images include kappa, on the sides that
+    ``movers[D[kappa] > 0]`` lists.  In Z+[M] that is the short side alone
+    (u where D[kappa] < 0, v where it is > 0), and by left cancellativity
+    at most two pool elements per side cover a key, so the branching factor
+    is tiny.  In Z[M] either side may cover kappa.  So a DFS reaches every
+    solution that extends its partial (u, v).  Each side holds at most
+    ``max_support`` elements; with ``distinct`` an element is added to a
+    side at most once (Z[M] supports are sets, Z+[M] ones multisets).
+    Candidates are tried in pool order and, per element, in ``coeffs``
+    order, so the result is deterministic.
 
-    Canonical seeding: the DFS from seed ``s`` adds a U element only if its
-    pool index is at least ``s``; V is unrestricted.  So each solution is
-    met only from the least element of its U (the idea of canonical
+    Canonical seeding: ``seeds`` lists (side, pool index, floors) in seed
+    order; each seed starts a DFS with each of its positive coefficients,
+    and that DFS adds no element to a side below the side's floor.  So each
+    solution is met only from its least element in seed order (canonical
     augmentation, B. D. McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 26, 1998).  The answer is that of the unrestricted search:
-    a DFS reaches every solution that extends its partial (U, V), because
-    whichever side is short at the least key of D must cover that key.  Let
-    s* be the first seed from which the unrestricted search finds anything.
-    No solution has a U element below s*, or an earlier seed would have
-    found it.  The floor only removes branches that contain such an element,
+    J. Algorithms 26, 1998).  The answer is that of the unrestricted
+    search, which seeds every element of u in Z+[M] and every (side, index,
+    +/-coefficient) in Z[M]:
+
+    - Z+[M] seeds u only.  Seed s has floors (s, 0): u elements from s on,
+      any v element.  Let s* be the first seed from which the unrestricted
+      search finds anything.  No solution has a u element below s*, or an
+      earlier seed would have found it.
+    - Z[M] seeds u, then v.  A u-seed s has floors (s, 0); a v-seed s has
+      floors (size, s): no u element, v elements from s on.  The equation
+      is linear, so (-u, -v) is a solution whenever (u, v) is, and the
+      first seed s* from which the unrestricted search finds anything has a
+      positive coefficient.  No solution has a support element ordered
+      before s*, or an earlier seed would have found it or its negation.
+
+    In both, the floor only removes branches that contain such an element,
     so the DFS from s* meets the same first solution, and the seeds before
     s* still find nothing.
     """
-    if inst.signed:
-        raise ModeMismatchError("use search_signed for signed instances")
-    t = _Tables(inst)
+    t = _Tables(inst, coeffs)
     n = inst.max_support
-    images_a, images_b, cover_u, cover_v = t.images_a, t.images_b, t.cover_u, t.cover_v
+    # per side: the pool indices added, the (coefficient, element) terms of
+    # a solution (gathered as the DFS unwinds), its tables, and the floor of
+    # the current seed
+    sides = [[[], [], t.cover[side], t.images[side], t.steps[side], 0] for side in (0, 1)]
+    # movers with each side number replaced by that side's entry
+    plan = [[sides[side] for side in allowed] for allowed in movers]
     nodes = 0
 
-    def dfs(D, U, V, floor):
+    def dfs(D):
         nonlocal nodes
         nodes += 1
         if not D:
-            return list(U), list(V)
+            return True
         kappa = min(D)
-        if D[kappa] < 0:
-            if len(U) == n:
-                return None
-            for gi in cover_u.get(kappa, ()):
-                if gi < floor:
+        for members, terms, cover, images, steps, floor in plan[D[kappa] > 0]:
+            if len(members) == n:
+                continue
+            for gi in cover.get(kappa, ()):
+                if gi < floor or distinct and gi in members:
                     continue
-                j1, j2 = images_a[gi]
-                _bump(D, j1, 1)
-                _bump(D, j2, 1)
-                U.append(gi)
-                hit = dfs(D, U, V, floor)
-                U.pop()
-                _bump(D, j1, -1)
-                _bump(D, j2, -1)
-                if hit:
-                    return hit
-        else:
-            if len(V) == n:
-                return None
-            for hi in cover_v.get(kappa, ()):
-                j1, j2 = images_b[hi]
-                _bump(D, j1, -1)
-                _bump(D, j2, -1)
-                V.append(hi)
-                hit = dfs(D, U, V, floor)
-                V.pop()
-                _bump(D, j1, 1)
-                _bump(D, j2, 1)
-                if hit:
-                    return hit
-        return None
+                j1, j2 = images[gi]
+                members.append(gi)
+                for lam, d1, d2 in steps:
+                    E = D.copy()
+                    _shift(E, j1, d1, j2, d2)
+                    if dfs(E):
+                        terms.append((lam, t.pool[gi]))
+                        return True
+                members.pop()
+        return False
 
-    hit = None
-    for seed in range(len(t.pool)):
-        D: dict = {}
-        for k in images_a[seed]:
-            _bump(D, k, 1)
-        hit = dfs(D, [seed], [], seed)
+    hit = False
+    for side, i, floors in seeds:
+        sides[0][-1], sides[1][-1] = floors
+        members, terms, _, images, steps, _ = sides[side]
+        j1, j2 = images[i]
+        members.append(i)
+        for lam, d1, d2 in steps:
+            if lam > 0:
+                D: dict = {}
+                _shift(D, j1, d1, j2, d2)
+                hit = dfs(D)
+                if hit:
+                    terms.append((lam, t.pool[i]))
+                    break
+        members.pop()
         if hit:
             break
     # dfs holds itself through its closure; unbinding it frees the tables on
     # return instead of at the next cyclic garbage collection.
     del dfs
-    if hit is None:
+    if not hit:
         return Exhausted(inst.bounds(), len(t.pool), nodes)
-    U = [t.pool[i] for i in hit[0]]
-    V = [t.pool[i] for i in hit[1]]
+    return sides[0][1], sides[1][1]
+
+
+def search_common_multiple(inst: OreInstance, jobs: int = 1):
+    """First solution (U, V) of (1+a)*U = (1+b)*V in Z+[M], multisets over
+    the pool with |U| = |V| <= max_support, or an Exhausted report (see
+    ``_search``).  The search runs serially; ``jobs`` is accepted for
+    compatibility and changes nothing."""
+    if inst.signed:
+        raise ModeMismatchError("use search_signed for signed instances")
+    seeds = ((0, s, (s, 0)) for s in range(len(inst.pool)))
+    # only the short side can cover kappa: u where D[kappa] < 0, v where > 0
+    found = _search(inst, (1,), seeds, False, ((0,), (1,)))
+    if isinstance(found, Exhausted):
+        return found
+    U, V = ([g for _, g in terms] for terms in found)
     return verify_solution(inst.backend, inst.a, inst.b, U, V)
-
-
-# ---------------------------------------------------------------------------
-# signed search
-# ---------------------------------------------------------------------------
-
-
-def _coeff_order(bound: int):
-    out = []
-    for m in range(1, bound + 1):
-        out.append(m)
-        out.append(-m)
-    return out
 
 
 def expand_signed(backend, a, b, signs, u, v) -> SignedSolution:
@@ -327,104 +356,20 @@ def expand_signed(backend, a, b, signs, u, v) -> SignedSolution:
 
 
 def search_signed(inst: OreInstance, jobs: int = 1):
-    """Bounded search for (1 +/- a) u = (1 +/- b) v in Z[M].
-
-    Supports live in the pool, coefficients in [-c, c] without zero, at
-    most ``max_support`` support elements per side, u = v = 0 excluded.
-    The search runs serially; ``jobs`` is accepted for compatibility and
-    changes nothing.
-
-    Canonical seeding: a seed is a (side, pool index) with a positive
-    coefficient, and the DFS from it adds no element ordered before the
-    seed in (side, index) order.  A U-seed (0, s) allows U elements from s
-    on and any V element; a V-seed (1, s) allows no U element and V
-    elements from s on.  The answer is that of the unrestricted search,
-    which seeds every (side, index, +/-coefficient).  A DFS reaches every
-    solution that extends its partial (u, v), because some remaining
-    support element must cover the least key of D.  The equation is
-    linear, so (-u, -v) is a solution whenever (u, v) is, and the first
-    seed s* from which the unrestricted search finds anything has a
-    positive coefficient.  No solution has a support element ordered
-    before s*, or an earlier seed would have found it or its negation.
-    The floor only removes branches that contain such an element, so the
-    DFS from s* meets the same first solution, and the seeds before s*
-    still find nothing.  This is canonical augmentation (B. D. McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
-    """
+    """First solution of (1 +/- a) u = (1 +/- b) v in Z[M], or an Exhausted
+    report (see ``_search``).  Supports live in the pool, coefficients in
+    [-c, c] without zero, at most ``max_support`` support elements per
+    side, u = v = 0 excluded.  The search runs serially; ``jobs`` is
+    accepted for compatibility and changes nothing."""
     if not inst.signed or not inst.coeff_bound:
         raise ModeMismatchError("signed search needs signed mode and a coefficient bound")
-    sa, sb = inst.signs
-    c = inst.coeff_bound
-    n = inst.max_support
-    t = _Tables(inst)
-    images_a, images_b, cover_u, cover_v = t.images_a, t.images_b, t.cover_u, t.cover_v
-    coeffs = _coeff_order(c)
-    nodes = 0
-
-    def apply_u(D, gi, lam):
-        kg, kag = images_a[gi]
-        _bump(D, kg, lam)
-        _bump(D, kag, sa * lam)
-
-    def apply_v(D, hi, lam):
-        kh, kbh = images_b[hi]
-        _bump(D, kh, -lam)
-        _bump(D, kbh, -sb * lam)
-
-    def dfs(D, u, v, u_floor, v_floor):
-        nonlocal nodes
-        nodes += 1
-        if not D:
-            return dict(u), dict(v)
-        kappa = min(D)
-        if len(u) < n:
-            for gi in cover_u.get(kappa, ()):
-                if gi < u_floor or gi in u:
-                    continue
-                for lam in coeffs:
-                    apply_u(D, gi, lam)
-                    u[gi] = lam
-                    hit = dfs(D, u, v, u_floor, v_floor)
-                    del u[gi]
-                    apply_u(D, gi, -lam)
-                    if hit:
-                        return hit
-        if len(v) < n:
-            for hi in cover_v.get(kappa, ()):
-                if hi < v_floor or hi in v:
-                    continue
-                for lam in coeffs:
-                    apply_v(D, hi, lam)
-                    v[hi] = lam
-                    hit = dfs(D, u, v, u_floor, v_floor)
-                    del v[hi]
-                    apply_v(D, hi, -lam)
-                    if hit:
-                        return hit
-        return None
-
-    size = len(t.pool)
-    seeds = ((side, idx, lam) for side in (0, 1) for idx in range(size)
-             for lam in range(1, c + 1))
-    hit = None
-    for side, idx, lam in seeds:
-        D: dict = {}
-        if side == 0:
-            apply_u(D, idx, lam)
-            hit = dfs(D, {idx: lam}, {}, idx, 0)
-        else:
-            apply_v(D, idx, lam)
-            hit = dfs(D, {}, {idx: lam}, size, idx)
-        if hit:
-            break
-    del dfs  # frees the tables now, as in search_common_multiple
-    if hit is None:
-        return Exhausted(inst.bounds(), size, nodes)
-    sol = expand_signed(
-        inst.backend, inst.a, inst.b, inst.signs,
-        [(lam, t.pool[i]) for i, lam in hit[0].items()],
-        [(lam, t.pool[i]) for i, lam in hit[1].items()],
-    )
+    size = len(inst.pool)
+    seeds = ((side, s, (size, s) if side else (s, 0)) for side in (0, 1) for s in range(size))
+    # either side can cover kappa, whatever the sign of D[kappa]
+    found = _search(inst, _coeff_order(inst.coeff_bound), seeds, True, ((0, 1), (0, 1)))
+    if isinstance(found, Exhausted):
+        return found
+    sol = expand_signed(inst.backend, inst.a, inst.b, inst.signs, *found)
     if not sol.verified:
         raise VerificationError("signed solution failed verification")
     return sol

@@ -1,7 +1,9 @@
 import io
 import json
 
+from orecert import certificates as certs
 from orecert.cli import main
+from orecert.ore import verify_solution
 
 
 def run(*argv):
@@ -339,3 +341,44 @@ def test_non_object_json_is_rejected_without_traceback(tmp_path):
         code, out, err = run("extract", str(path))
         assert (code, out) == (2, "")
         assert err == "error: certificate must be a JSON object\n"
+
+
+def test_rel2sol_outside_the_pool_is_not_embeddable():
+    # The walk of [a^-1, b^-1] gives U = {(0,0), (0,1)}, which L = 0 does
+    # not hold; a solution certificate would state a pool it leaves.
+    argv = ("rel2sol", "--backend", "zm:2", "--a", "a", "--b", "b", "--pool-len", "0",
+            "a^-1 b^-1 a b")
+    assert run(*argv) == (3, "not-embeddable\n", "")
+    code, out, _ = run(*argv, "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["kind"]) == (3, "rel2sol-failure")
+    assert doc["reason"] == "solution leaves the pool of L = 0, K = 2"
+
+
+def test_verify_rejects_a_solution_outside_its_pool(tmp_path):
+    _, out, _ = run("ore-search", "--backend", "zm:2", "--a", "a", "--b", "b",
+                    "--max-support", "2", "--pool-len", "1", "--format", "json")
+    inst, sol = certs.solution_inputs(json.loads(out))
+    # A right translate still solves (1+a)U = (1+b)V, but leaves the pool.
+    backend = inst.backend
+    shift = backend.from_text("a^3 b^3")
+    U, V = ([backend.multiply(x, shift) for x in side] for side in (sol.U, sol.V))
+    moved = verify_solution(backend, inst.a, inst.b, U, V)
+    for derive in (certs.solution_certificate, certs.relations_certificate):
+        code, out, _ = _verify_doc(tmp_path, derive(inst, moved))
+        assert (code, out) == (
+            1, "verification failed: U or V has an element outside the pool\n",
+        ), derive.__name__
+
+
+def test_verify_rejects_a_flow_that_is_no_group_element(tmp_path):
+    code, out, _ = run("ore-search", "--backend", "mb:2", "--a", "a", "--b", "b",
+                       "--max-support", "2", "--pool-len", "1", "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["kind"]) == (3, "exhausted")
+    assert _verify_doc(tmp_path, doc)[:2] == (0, "verified: ok\n")
+    # one unit of flow out of the origin that never arrives anywhere
+    doc["a"] = "t=(0,0); flow={((0,0),a):1}"
+    code, out, _ = _verify_doc(tmp_path, doc)
+    assert code == 1
+    assert "boundary condition" in out

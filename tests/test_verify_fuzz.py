@@ -34,7 +34,7 @@ COMMANDS = [
     ["ore-signed", "--backend", "posmon", "--a", "x0", "--b", "x1", "--signs=mm",
      "--coeff-bound", "1", "--max-support", "1", "--pool-len", "1", "--pool-idx", "1"],
     ["extract", "{sol}"],
-    # a group's rel2sol solution may lie outside the stated pool
+    # a group relation whose walk leaves the stated pool: rel2sol-failure
     ["rel2sol", "--backend", "zm:2", "--a", "a", "--b", "b", "--pool-len", "0",
      "a^-1 b^-1 a b"],
     ["rel2sol", "--backend", "posmon", "--a", "x0", "--b", "x0",
