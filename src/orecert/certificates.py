@@ -13,6 +13,7 @@ content only.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import NotEmbeddableError, OrecertError, VerificationError
@@ -135,15 +136,14 @@ def rel2sol_certificate(backend, a, b, text: str, length: int, max_index) -> dic
     pool element embeds its vertices, on a group the walk, translated so
     that its least vertex is the identity, leaves the pool."""
     word = parse_word(text, LABEL_ALPHABET)
-    pool = None if backend.is_group else enumerate_pool(backend, length, max_index)
+    inst = make_instance(backend, a, b, 0, length, max_index)
     try:
-        sol = relation_to_solution(backend, a, b, word, pool=pool)
+        sol = relation_to_solution(backend, a, b, word, pool=inst.pool)
     except NotEmbeddableError:
         reason = "vertices not embeddable in monoid"
     else:
-        inst = make_instance(backend, a, b, len(sol.U), length, max_index)
         if not _outside_pool(inst, sol.U + sol.V):
-            return solution_certificate(inst, sol)
+            return solution_certificate(replace(inst, max_support=len(sol.U)), sol)
         reason = f"solution leaves the pool of L = {length}, K = {max_index}"
     return {
         "kind": "rel2sol-failure",

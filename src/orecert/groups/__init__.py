@@ -12,7 +12,6 @@ from .thompson import (
     pos_normalize,
     tree_from_str,
     tree_leaves,
-    tree_to_str,
 )
 from .trace import AltTrace, TraceStep, alt_trace, verify_trace
 
@@ -50,6 +49,5 @@ __all__ = [
     "shift_word",
     "tree_from_str",
     "tree_leaves",
-    "tree_to_str",
     "verify_trace",
 ]

@@ -25,10 +25,13 @@ class Backend:
         raise NotImplementedError
 
     def from_word(self, w: Word):
-        x = self.identity
-        for letter in w:
-            x = self.multiply(x, self.letter_element(letter))
-        return x
+        # Neighbours multiply pairwise, level by level, so the operands of a
+        # product grow with its level rather than with its place in the word.
+        xs = [self.letter_element(letter) for letter in w] or [self.identity]
+        while len(xs) > 1:
+            pairs = [self.multiply(x, y) for x, y in zip(xs[::2], xs[1::2])]
+            xs = pairs + xs[-1:] if len(xs) % 2 else pairs
+        return xs[0]
 
     def letter_element(self, letter):
         gen, exp = letter

@@ -1,15 +1,21 @@
-"""Thompson's group F as reduced tree pairs, and its positive monoid.
+"""Thompson's group F as reduced pairs of caret strings, and its positive monoid.
 
-Trees are nested tuples: a leaf is ``()`` and a caret is ``(left, right)``.
-A group element is a pair (domain tree, range tree) with equal leaf counts,
-read as the piecewise-linear map sending the i-th domain interval onto the
-i-th range interval.  Pairs are stored reduced, so equality is structural.
+A tree is its preorder caret string: ``C`` is a caret, followed by its
+left and then its right subtree, and ``L`` is a leaf, so ``CCLLL`` is a
+caret whose left child is a caret.  No tree string is a proper prefix of
+another.  A group element is a pair (domain tree, range tree) with equal
+leaf counts, read as the piecewise-linear map sending the i-th domain
+interval onto the i-th range interval.  Pairs are stored reduced, so
+equality is string equality, and the pair is its own canonical key: since
+the strings are prefix-free, pairs sort as their text ``domain/range``
+does.
 
 Multiplication stacks the two diagrams: the left factor's range tree and
 the right factor's domain tree are refined to their common refinement and
 the matching carets are copied onto the outer trees.  With the generator
 pairs below this satisfies x_j x_i = x_i x_{j+1} for i < j, which is the
-defining relation family of F and of its positive monoid.
+defining relation family of F and of its positive monoid.  No helper
+recurses, so trees of any depth are fine.
 
 The positive monoid backend keeps elements in rewriting normal form: the
 rule x_j x_i -> x_i x_{j+1} (i < j) is terminating and confluent on
@@ -20,128 +26,110 @@ index sequences.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from operator import add
+from typing import NamedTuple
 
-from ..errors import NegativeExponentError, VerificationError
+from ..errors import NegativeExponentError
 from ..words import Alphabet, Word
 from .base import Backend
 
-Tree = tuple  # () is a leaf, (left, right) a caret
 
-LEAF: Tree = ()
-
-
-def tree_leaves(t: Tree) -> int:
-    if not t:
-        return 1
-    return tree_leaves(t[0]) + tree_leaves(t[1])
+def tree_leaves(t: str) -> int:
+    return t.count("L")
 
 
-def tree_to_str(t: Tree) -> str:
-    if not t:
-        return "L"
-    return "C" + tree_to_str(t[0]) + tree_to_str(t[1])
+def _subtree_end(t: str, i: int) -> int:
+    """End of the subtree that starts at ``t[i]``."""
+    # A caret asks for one more subtree and a leaf completes one, so
+    # ``need`` cannot reach 0 within its next ``need`` characters: read
+    # them in one count.
+    need = 1
+    while need:
+        j = i + need
+        need += need - 2 * t.count("L", i, j)
+        i = j
+    return i
 
 
-def tree_from_str(s: str) -> Tree:
-    def parse(pos: int) -> tuple[Tree, int]:
-        if pos >= len(s):
-            raise ValueError(f"truncated tree string {s!r}")
-        if s[pos] == "L":
-            return LEAF, pos + 1
-        if s[pos] == "C":
-            left, pos = parse(pos + 1)
-            right, pos = parse(pos)
-            return (left, right), pos
-        raise ValueError(f"bad tree character {s[pos]!r}")
-
-    tree, end = parse(0)
-    if end != len(s):
-        raise ValueError(f"trailing characters in tree string {s!r}")
-    return tree
+def tree_from_str(s: str) -> str:
+    """Check that ``s`` is one caret string, and return it."""
+    bad = s.strip("CL")
+    if bad:
+        raise ValueError(f"bad tree character {bad[0]!r}")
+    # With one more leaf than carets the scan stays inside ``s``.
+    if s.count("L") != s.count("C") + 1 or _subtree_end(s, 0) != len(s):
+        raise ValueError(f"not one tree: {s!r}")
+    return s
 
 
-def _merge(s: Tree, t: Tree) -> Tree:
-    # Common refinement: caret wherever either tree has one.
-    if not s:
-        return t
-    if not t:
-        return s
-    return (_merge(s[0], t[0]), _merge(s[1], t[1]))
+def _refine(a: str, b: str) -> tuple[list[str], list[str]]:
+    """The subtree of the common refinement of ``a`` and ``b`` below each
+    leaf of ``a``, and below each leaf of ``b``."""
+    below_a: list[str] = []
+    below_b: list[str] = []
+    i = j = 0
+    while i < len(a):
+        if a[i] == b[j]:
+            if a[i] == "L":
+                below_a.append("L")
+                below_b.append("L")
+            i += 1
+            j += 1
+        elif a[i] == "L":
+            k = _subtree_end(b, j)
+            below_a.append(b[j:k])
+            below_b.extend("L" * ((k - j + 1) // 2))
+            i += 1
+            j = k
+        else:
+            k = _subtree_end(a, i)
+            below_b.append(a[i:k])
+            below_a.extend("L" * ((k - i + 1) // 2))
+            i = k
+            j += 1
+    return below_a, below_b
 
 
-def _subtrees_at_leaves(t: Tree, refined: Tree) -> list[Tree]:
-    # refined must contain t; returns refined's subtree under each leaf of t.
-    if not t:
-        return [refined]
-    if not refined:
-        raise VerificationError("tree is not a refinement")
-    return _subtrees_at_leaves(t[0], refined[0]) + _subtrees_at_leaves(t[1], refined[1])
+def _graft(t: str, below: list[str]) -> str:
+    # The last piece of the split is the empty string after the last leaf.
+    return "".join(map(add, t.split("L"), below))
 
 
-def _graft(t: Tree, subtrees: list[Tree]) -> Tree:
-    it = iter(subtrees)
-
-    def rec(node: Tree) -> Tree:
-        if not node:
-            return next(it)
-        return (rec(node[0]), rec(node[1]))
-
-    out = rec(t)
-    for _ in it:
-        raise VerificationError("leftover subtrees while grafting")
-    return out
+def _cherries(pieces: list[str]) -> list[int]:
+    """Leaf index of the left leaf of each ``CLL`` that ``pieces`` were split at."""
+    at = []
+    leaves = 0
+    for piece in pieces[:-1]:
+        leaves += piece.count("L")
+        at.append(leaves)
+        leaves += 2
+    return at
 
 
-def _sibling_leaf_starts(t: Tree) -> list[int]:
-    """Leaf indices i such that leaves i and i+1 are children of one caret."""
-    starts: list[int] = []
-
-    def rec(node: Tree, base: int) -> int:
-        if not node:
-            return 1
-        left, right = node
-        if not left and not right:
-            starts.append(base)
-            return 2
-        n_left = rec(left, base)
-        return n_left + rec(right, base + n_left)
-
-    rec(t, 0)
-    return starts
+def _contract(pieces: list[str], at: list[int], common: set[int]) -> str:
+    cuts = ["L" if leaf in common else "CLL" for leaf in at]
+    return "".join(map(add, pieces, cuts)) + pieces[-1]
 
 
-def _contract_at(t: Tree, i: int) -> Tree:
-    def rec(node: Tree, base: int) -> tuple[Tree, int]:
-        if not node:
-            return node, 1
-        left, right = node
-        if not left and not right:
-            if base == i:
-                return LEAF, 2
-            return node, 2
-        new_left, n_left = rec(left, base)
-        new_right, n_right = rec(right, base + n_left)
-        return (new_left, new_right), n_left + n_right
-
-    out, _ = rec(t, 0)
-    return out
+class TreePair(NamedTuple):
+    domain: str
+    range: str
 
 
-@dataclass(frozen=True)
-class TreePair:
-    domain: Tree
-    range: Tree
-
-
-def _reduce_pair(domain: Tree, rng: Tree) -> TreePair:
+def _reduced(domain: str, rng: str) -> TreePair:
+    # A ``CLL`` is a caret over two leaves; where both trees have one over
+    # the same two leaves, the pair stays the same map without it.  Every
+    # such caret goes in one sweep, and the contractions may expose more.
     while True:
-        common = set(_sibling_leaf_starts(domain)) & set(_sibling_leaf_starts(rng))
+        dom_pieces = domain.split("CLL")
+        rng_pieces = rng.split("CLL")
+        dom_at = _cherries(dom_pieces)
+        rng_at = _cherries(rng_pieces)
+        common = set(dom_at).intersection(rng_at)
         if not common:
             return TreePair(domain, rng)
-        i = min(common)
-        domain = _contract_at(domain, i)
-        rng = _contract_at(rng, i)
+        domain = _contract(dom_pieces, dom_at, common)
+        rng = _contract(rng_pieces, rng_at, common)
 
 
 class FBackend(Backend):
@@ -150,11 +138,10 @@ class FBackend(Backend):
     def __init__(self):
         self.name = "f"
         self.alphabet = Alphabet.indexed()
-        self._gen_cache: dict[int, TreePair] = {}
 
     @property
     def identity(self) -> TreePair:
-        return TreePair(LEAF, LEAF)
+        return TreePair("L", "L")
 
     def generator_element(self, gen) -> TreePair:
         return self.generator_pair(self.alphabet.position(gen))
@@ -162,46 +149,34 @@ class FBackend(Backend):
     def generator_pair(self, i: int) -> TreePair:
         if i < 0:
             raise ValueError("generator index must be nonnegative")
-        pair = self._gen_cache.get(i)
-        if pair is None:
-            domain: Tree = ((LEAF, LEAF), LEAF)
-            rng: Tree = (LEAF, (LEAF, LEAF))
-            for _ in range(i):
-                domain = (LEAF, domain)
-                rng = (LEAF, rng)
-            pair = TreePair(domain, rng)
-            self._gen_cache[i] = pair
-        return pair
+        return TreePair("CL" * i + "CCLLL", "CL" * i + "CLCLL")
 
     def multiply(self, x: TreePair, y: TreePair) -> TreePair:
-        common = _merge(x.range, y.domain)
-        domain = _graft(x.domain, _subtrees_at_leaves(x.range, common))
-        rng = _graft(y.range, _subtrees_at_leaves(y.domain, common))
-        return _reduce_pair(domain, rng)
+        below_x, below_y = _refine(x.range, y.domain)
+        return _reduced(_graft(x.domain, below_x), _graft(y.range, below_y))
 
     def inverse(self, x: TreePair) -> TreePair:
         return TreePair(x.range, x.domain)
 
     def is_identity(self, x: TreePair) -> bool:
-        return x.domain == LEAF and x.range == LEAF
+        return x.domain == "L" and x.range == "L"
 
     def equals(self, x: TreePair, y: TreePair) -> bool:
         return x == y
 
-    def canonical_key(self, x: TreePair) -> str:
-        return self.canonical_str(x)
+    def canonical_key(self, x: TreePair) -> TreePair:
+        return x
 
     def canonical_str(self, x: TreePair) -> str:
-        return tree_to_str(x.domain) + "/" + tree_to_str(x.range)
+        return x.domain + "/" + x.range
 
     def element_from_str(self, s: str) -> TreePair:
         dom, sep, rng = s.partition("/")
         if not sep:
             raise ValueError(f"not a tree pair: {s!r}")
-        pair = _reduce_pair(tree_from_str(dom), tree_from_str(rng))
-        if tree_leaves(pair.domain) != tree_leaves(pair.range):
+        if tree_leaves(tree_from_str(dom)) != tree_leaves(tree_from_str(rng)):
             raise ValueError("leaf counts differ")
-        return pair
+        return _reduced(dom, rng)
 
     def generators(self, max_index: int | None = None):
         top = 1 if max_index is None else max_index

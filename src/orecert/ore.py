@@ -98,6 +98,10 @@ def enumerate_pool(backend: Backend, length: int, max_index: int | None = None) 
 
 def make_instance(backend, a, b, max_support, pool_length, pool_max_index=None,
                   signed=False, coeff_bound=None, signs=(1, 1)) -> OreInstance:
+    if max_support < 0:
+        raise ValueError("max support n must be nonnegative")
+    if signed and (coeff_bound is None or coeff_bound < 1):
+        raise ValueError("coefficient bound c must be at least 1")
     pool = enumerate_pool(backend, pool_length, pool_max_index)
     return OreInstance(
         backend, a, b, max_support, tuple(pool),

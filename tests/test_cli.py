@@ -382,3 +382,38 @@ def test_verify_rejects_a_flow_that_is_no_group_element(tmp_path):
     code, out, _ = _verify_doc(tmp_path, doc)
     assert code == 1
     assert "boundary condition" in out
+
+
+ZM2_AB = ("--backend", "zm:2", "--a", "a", "--b", "b")
+
+
+def test_negative_max_support_is_a_usage_error():
+    assert run("ore-search", *ZM2_AB, "--max-support", "-2") == (
+        2, "", "error: max support n must be nonnegative\n",
+    )
+
+
+def test_signed_negative_max_support_is_a_usage_error(tmp_path):
+    assert run("ore-signed", *ZM2_AB, "--max-support", "-1") == (
+        2, "", "error: max support n must be nonnegative\n",
+    )
+    doc = _signed_zm2_doc()
+    doc["bounds"]["n"] = -1
+    assert _verify_doc(tmp_path, doc)[:2] == (
+        1, "verification failed: malformed certificate: max support n must be nonnegative\n",
+    )
+
+
+def test_coefficient_bound_below_one_is_a_usage_error(tmp_path):
+    assert run("ore-signed", *ZM2_AB, "--coeff-bound", "-1", "--format", "json") == (
+        2, "", "error: coefficient bound c must be at least 1\n",
+    )
+    # an exhaustion with c = 0 would hold vacuously: no coefficient is allowed
+    code, out, _ = run("ore-signed", *ZM2_AB, "--max-support", "1", "--pool-len", "1",
+                       "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["kind"]) == (3, "exhausted")
+    doc["bounds"]["c"] = 0
+    assert _verify_doc(tmp_path, doc)[:2] == (
+        1, "verification failed: malformed certificate: coefficient bound c must be at least 1\n",
+    )

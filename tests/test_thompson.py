@@ -1,10 +1,14 @@
+import io
 import itertools
+import json
 import random
 
 import pytest
 
+import f_reference
 from helpers import indexed_letters, random_word
 
+from orecert.cli import main
 from orecert.errors import NegativeExponentError
 from orecert.groups import (
     FBackend,
@@ -12,7 +16,6 @@ from orecert.groups import (
     pos_normalize,
     tree_from_str,
     tree_leaves,
-    tree_to_str,
 )
 from orecert.words import Generator, invert_word
 
@@ -37,7 +40,7 @@ def test_generator_spine():
 
 def test_tree_string_roundtrip():
     for s in ("L", "CLL", "CCLLL", "CLCLCCLLL"):
-        assert tree_to_str(tree_from_str(s)) == s
+        assert tree_from_str(s) == s
     with pytest.raises(ValueError):
         tree_from_str("CL")
     with pytest.raises(ValueError):
@@ -84,6 +87,34 @@ def test_homomorphism_random_words():
         assert FB.equals(
             FB.from_word(u + v), FB.multiply(FB.from_word(u), FB.from_word(v))
         )
+
+
+def test_agrees_with_nested_tuple_reference():
+    ref = f_reference.FBackend()
+    rng = random.Random(2024)
+    pool = indexed_letters(3)
+    for _ in range(2000):
+        w = random_word(rng, pool, 60)
+        text = FB.canonical_str(FB.from_word(w))
+        assert text == ref.canonical_str(ref.from_word(w)), w
+        assert FB.canonical_str(FB.element_from_str(text)) == text
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = main(list(argv), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_deep_trees_in_the_cli(tmp_path):
+    # Both words nest carets thousands deep.
+    assert run("wp", "--backend", "f", "x0^1200") == (0, "nontrivial\n", "")
+    code, out, _ = run("canon", "--backend", "f", "x0^3000 x1^-2000", "--format", "json")
+    assert code == 0
+    path = tmp_path / "canon.json"
+    path.write_text(out)
+    assert run("verify", str(path)) == (0, "verified: ok\n", "")
+    assert json.loads(out)["element"].count("C") > 5000
 
 
 def test_word_inverse_random():
