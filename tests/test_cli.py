@@ -417,3 +417,16 @@ def test_coefficient_bound_below_one_is_a_usage_error(tmp_path):
     assert _verify_doc(tmp_path, doc)[:2] == (
         1, "verification failed: malformed certificate: coefficient bound c must be at least 1\n",
     )
+
+
+def test_folner_without_generators_is_a_usage_error(tmp_path):
+    assert run("folner", "--backend", "posmon", "--epsilon", "1/2", "--budget", "5",
+               "--pool-idx", "-1") == (2, "", "error: at least one generator is needed\n")
+    code, out, _ = run("folner", "--backend", "posmon", "--epsilon", "1/2", "--budget", "5",
+                       "--format", "json")
+    doc = json.loads(out)
+    assert code == 3
+    doc["generators"], doc["stats"] = [], []
+    assert _verify_doc(tmp_path, doc)[:2] == (
+        1, "verification failed: malformed certificate: at least one generator is needed\n",
+    )

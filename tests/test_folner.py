@@ -1,14 +1,18 @@
+import io
 from fractions import Fraction
 
+import folner_reference
 import pytest
 
+from orecert import cli, folner
+from orecert.errors import VerificationError
 from orecert.folner import (
     check_delta,
     check_epsilon,
     folner_ratios,
     greedy_folner_search,
 )
-from orecert.groups import MbBackend, PosMonoidBackend, ZmBackend
+from orecert.groups import Backend, MbBackend, PosMonoidBackend, ZmBackend
 
 ZM = ZmBackend(2)
 PM = PosMonoidBackend()
@@ -105,3 +109,70 @@ def test_greedy_posmon_small_budget_fails_gracefully():
     assert not success
     assert 1 <= len(E) <= 12
     assert report.max_symdiff_ratio >= Fraction(1, 10)
+
+
+def test_no_generators_rejected():
+    with pytest.raises(ValueError, match="at least one generator is needed"):
+        folner_ratios(ZM, box(2), [])
+    with pytest.raises(ValueError, match="at least one generator is needed"):
+        greedy_folner_search(ZM, [], Fraction(1, 2), 5)
+
+
+@pytest.mark.parametrize("backend,budget", [(MbBackend(2), 40), (PosMonoidBackend(), 30)])
+def test_grower_work_is_linear_in_budget(monkeypatch, backend, budget):
+    # Each element of E and of the frontier is multiplied by each generator
+    # once, and the frontier holds at most G |E| elements; rescoring every
+    # candidate with folner_ratios made about G^2 budget^3 / 6 products.
+    calls = {"multiply": 0, "folner_ratios": 0}
+    multiply, ratios = backend.multiply, folner.folner_ratios
+
+    def counted_multiply(x, y):
+        calls["multiply"] += 1
+        return multiply(x, y)
+
+    def counted_ratios(*args):
+        calls["folner_ratios"] += 1
+        return ratios(*args)
+
+    monkeypatch.setattr(backend, "multiply", counted_multiply)
+    monkeypatch.setattr(folner, "folner_ratios", counted_ratios)
+    generators = backend.generators()
+    G = len(generators)
+    E, _, success = greedy_folner_search(backend, generators, Fraction(1, 10), budget)
+    assert not success
+    assert G * budget <= calls["multiply"] <= G * (G + 1) * budget
+    assert calls["folner_ratios"] == 0
+
+
+class Collapsing(Backend):
+    """0, 1, 2 under addition capped at 2: a 1 = a 2 = 2, so left
+    translation by a is not injective on {0, 1, 2}."""
+
+    name = "collapsing"
+    identity = 0
+
+    def multiply(self, x, y):
+        return min(x + y, 2)
+
+    def canonical_key(self, x):
+        return x
+
+    def canonical_str(self, x):
+        return str(x)
+
+    def generators(self, max_index=None):
+        return [("a", 1)]
+
+
+def test_non_injective_translation_is_rejected(monkeypatch):
+    stub = Collapsing()
+    message = "left translation by a not injective"
+    with pytest.raises(VerificationError, match=message):
+        folner_ratios(stub, [0, 1, 2], stub.generators())
+    for grower in (greedy_folner_search, folner_reference.greedy_folner_search):
+        with pytest.raises(VerificationError, match=message):
+            grower(stub, stub.generators(), Fraction(1, 10), 5)
+    monkeypatch.setattr(cli, "make_backend", lambda selector: stub)
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["folner", "--backend", "collapsing", "--epsilon", "1/10"], out, err)
+    assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {message}\n")
