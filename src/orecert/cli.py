@@ -101,9 +101,9 @@ def _folner(args) -> dict:
     backend = make_backend(args.backend)
     generators = backend.generators(args.pool_idx)
     epsilon = Fraction(args.epsilon)
-    E, _, success = greedy_folner_search(backend, generators, epsilon, args.budget)
+    E, _, _ = greedy_folner_search(backend, generators, epsilon, args.budget)
     delta = None if args.delta is None else Fraction(args.delta)
-    return certs.folner_certificate(backend, generators, E, epsilon, delta, success)
+    return certs.folner_certificate(backend, generators, E, epsilon, delta)
 
 
 def _pool(args) -> dict:

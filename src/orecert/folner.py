@@ -56,18 +56,15 @@ def _report(labels, size: int, intersections) -> FolnerReport:
 def folner_ratios(backend: Backend, E, generators) -> FolnerReport:
     """Exact counts for every generator; ``generators`` is a list of
     (label, element) pairs and E a nonempty iterable of elements."""
-    elements = {backend.canonical_key(e): e for e in E}
+    elements = set(E)
     if not elements:
         raise ValueError("E must be nonempty")
     counts = []
     for label, gen in generators:
-        shifted = {
-            backend.canonical_key(backend.multiply(gen, e))
-            for e in elements.values()
-        }
+        shifted = {backend.multiply(gen, e) for e in elements}
         if len(shifted) != len(elements):
             raise VerificationError(f"left translation by {label} not injective")
-        counts.append(len(shifted & elements.keys()))
+        counts.append(len(shifted & elements))
     return _report([label for label, _ in generators], len(elements), counts)
 
 
@@ -84,10 +81,10 @@ def check_epsilon(report: FolnerReport, epsilon) -> bool:
 def greedy_folner_search(backend: Backend, generators, epsilon, budget: int):
     """Grow E from {1}, each step adding the left-translate frontier element
     that minimises the worst symmetric-difference ratio (ties to the smaller
-    canonical key).  Returns (E, report, success); on failure the best set
+    element).  Returns (E, report, success); on failure the best set
     seen is returned with its report.
 
-    The grower keeps, for each generator g, the key set S_g = {g e : e in E}
+    The grower keeps, for each generator g, the set S_g = {g e : e in E}
     and the count I_g = |S_g & E|, and scores a candidate k outside E from
     them.  Adding k gives S'_g = S_g + {gk} and E' = E + {k}, so
 
@@ -109,57 +106,48 @@ def greedy_folner_search(backend: Backend, generators, epsilon, budget: int):
         raise ValueError("budget must be positive")
     epsilon = Fraction(epsilon)
     labels = [label for label, _ in generators]
-    key = backend.canonical_key
-    current: dict = {}  # E in order of addition, key -> element
+    current: dict = {}  # E, as keys in order of addition
     shifted = [set() for _ in generators]  # S_g
     counts = [0] * len(generators)  # I_g
-    frontier: dict = {}  # key -> element, for the keys of S_g outside E
-    products: dict = {}  # key -> ((key(g x), g x) for each generator g)
+    frontier: set = set()  # the elements of the S_g outside E
+    products: dict = {}  # k -> (g k for each generator g)
 
-    def counts_with(k, x) -> list:
+    def counts_with(k) -> list:
         if k not in products:
-            products[k] = tuple(
-                (key(y), y) for y in (backend.multiply(g, x) for _, g in generators)
-            )
+            products[k] = tuple(backend.multiply(g, k) for _, g in generators)
         out = []
-        for label, S, count, (gk, _) in zip(labels, shifted, counts, products[k]):
+        for label, S, count, gk in zip(labels, shifted, counts, products[k]):
             if gk in S:
                 raise VerificationError(f"left translation by {label} not injective")
             out.append(count + (k in S) + (gk in current) + (gk == k))
         return out
 
-    def add(k, x, new_counts) -> None:
+    def add(k, new_counts) -> None:
         counts[:] = new_counts
-        current[k] = x
-        frontier.pop(k, None)
-        for S, (gk, y) in zip(shifted, products[k]):
+        current[k] = None
+        frontier.discard(k)
+        for S, gk in zip(shifted, products[k]):
             S.add(gk)
             if gk not in current:
-                frontier[gk] = y
+                frontier.add(gk)
 
     one = backend.identity
-    k1 = key(one)
-    add(k1, one, counts_with(k1, one))
+    add(one, counts_with(one))
     best_size, best_report = 0, None
     while True:
         report = _report(labels, len(current), counts)
         if best_report is None or report.max_symdiff_ratio < best_report.max_symdiff_ratio:
             best_size, best_report = len(current), report
         if report.max_symdiff_ratio < epsilon:
-            return _sorted_set(backend, current), report, True
+            return sorted(current), report, True
         if len(current) >= budget or not frontier:
-            best = dict(list(current.items())[:best_size])
-            return _sorted_set(backend, best), best_report, False
+            return sorted(list(current)[:best_size]), best_report, False
         n = len(current) + 1
         pick = None
         for k in sorted(frontier):
-            trial = counts_with(k, frontier[k])
+            trial = counts_with(k)
             score = n - min(trial)
             if pick is None or score < pick[0]:
                 pick = (score, k, trial)
         _, k, trial = pick
-        add(k, frontier[k], trial)
-
-
-def _sorted_set(backend, keyed: dict) -> list:
-    return [keyed[k] for k in sorted(keyed)]
+        add(k, trial)

@@ -42,6 +42,7 @@ class ZmBackend(Backend):
     def is_identity(self, x) -> bool:
         return not any(x)
 
+    # The element is its own key; kept per class so bench/tracer.py can wrap it.
     def canonical_key(self, x):
         return x
 

@@ -1,10 +1,13 @@
 """Common backend contract for monoid and group element arithmetic.
 
-A backend turns words into elements, multiplies them, and exposes a
-canonical key so that equality, hashing, and deterministic sorting all
-reduce to key comparison.  ``from_word`` is a monoid homomorphism from
-words under concatenation; group backends additionally provide ``inverse``.
-Elements are immutable values that can be shared freely.
+A backend turns words into elements and multiplies them.
+``from_word`` is a monoid homomorphism from words under concatenation;
+group backends additionally provide ``inverse``.  Elements are immutable
+values that can be shared freely, and each element is its own canonical
+key: ``==`` on elements is equality in the monoid, ``hash`` agrees with it,
+and ``<`` is a total order that fixes every deterministic ordering (pools,
+search ranks, certificate listings).  So sets, dict keys and ``sorted``
+take elements directly.
 """
 
 from __future__ import annotations
@@ -58,14 +61,14 @@ class Backend:
     # -- identity and equality --------------------------------------------
 
     def is_identity(self, x) -> bool:
-        return self.equals(x, self.identity)
+        return x == self.identity
 
     def equals(self, x, y) -> bool:
-        return self.canonical_key(x) == self.canonical_key(y)
+        return x == y
 
     def canonical_key(self, x):
-        """Totally ordered, hashable key; equal keys iff equal elements."""
-        raise NotImplementedError
+        """The element itself: elements are their own keys."""
+        return x
 
     def canonical_str(self, x) -> str:
         """Bit-exact text form used in certificates."""

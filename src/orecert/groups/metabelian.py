@@ -6,12 +6,12 @@ flow records, for every directed edge of the grid, the number of forward
 traversals minus backward traversals.  Edges point in the positive
 coordinate direction, so one edge carries a single signed integer; zero
 entries are dropped.  An element is the identity iff t = 0 and the flow is
-empty.
+empty.  The element is a tuple (t, flow), and so its own canonical key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import BackendMismatchError
 from ..words import Alphabet, Generator, Word
@@ -22,8 +22,7 @@ Edge = tuple[tuple[int, ...], int]
 FlowItems = tuple[tuple[Edge, int], ...]
 
 
-@dataclass(frozen=True)
-class FlowElement:
+class FlowElement(NamedTuple):
     t: tuple[int, ...]
     flow: FlowItems  # sorted, no zero values
 
@@ -89,8 +88,9 @@ class MbBackend(Backend):
     def is_identity(self, x: FlowElement) -> bool:
         return not any(x.t) and not x.flow
 
-    def canonical_key(self, x: FlowElement):
-        return (x.t, x.flow)
+    # The element is its own key; kept per class so bench/tracer.py can wrap it.
+    def canonical_key(self, x: FlowElement) -> FlowElement:
+        return x
 
     def canonical_str(self, x: FlowElement) -> str:
         entries = ", ".join(

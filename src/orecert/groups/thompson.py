@@ -25,7 +25,6 @@ index sequences.
 
 from __future__ import annotations
 
-import random
 from operator import add
 from typing import NamedTuple
 
@@ -161,9 +160,7 @@ class FBackend(Backend):
     def is_identity(self, x: TreePair) -> bool:
         return x.domain == "L" and x.range == "L"
 
-    def equals(self, x: TreePair, y: TreePair) -> bool:
-        return x == y
-
+    # The element is its own key; kept per class so bench/tracer.py can wrap it.
     def canonical_key(self, x: TreePair) -> TreePair:
         return x
 
@@ -195,38 +192,16 @@ def _append_generator(nf: NormalForm, q: int) -> NormalForm:
     return nf[:cut] + (q,) + tuple(p + 1 for p in nf[cut:])
 
 
-def pos_normalize(w: Word, strategy: str = "fold", rng: random.Random | None = None) -> NormalForm:
-    """Normal form of a positive word over x0, x1, ...
-
-    ``fold`` inserts letters one at a time (the fast path used by the
-    backend).  ``leftmost``, ``rightmost`` and ``random`` repeatedly rewrite
-    a single adjacent violation; all strategies agree because the rewriting
-    system is confluent.
-    """
+def pos_normalize(w: Word) -> NormalForm:
+    """Normal form of a positive word over x0, x1, ..., built by inserting
+    its letters one at a time."""
     for gen, exp in w:
         if exp != 1:
             raise NegativeExponentError(f"positive word expected, found {gen}^-1")
-    indices = tuple(gen.index for gen, _ in w)
-    if strategy == "fold":
-        nf: NormalForm = ()
-        for q in indices:
-            nf = _append_generator(nf, q)
-        return nf
-    seq = list(indices)
-    while True:
-        spots = [i for i in range(len(seq) - 1) if seq[i] > seq[i + 1]]
-        if not spots:
-            return tuple(seq)
-        if strategy == "leftmost":
-            i = spots[0]
-        elif strategy == "rightmost":
-            i = spots[-1]
-        elif strategy == "random":
-            i = (rng or random).choice(spots)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        j, k = seq[i], seq[i + 1]
-        seq[i], seq[i + 1] = k, j + 1
+    nf: NormalForm = ()
+    for gen, _ in w:
+        nf = _append_generator(nf, gen.index)
+    return nf
 
 
 class PosMonoidBackend(Backend):
@@ -256,6 +231,7 @@ class PosMonoidBackend(Backend):
     def is_identity(self, x: NormalForm) -> bool:
         return not x
 
+    # The element is its own key; kept per class so bench/tracer.py can wrap it.
     def canonical_key(self, x: NormalForm):
         return x
 

@@ -5,8 +5,8 @@ relations.
 The unsigned search looks for multisets U, V over a finite pool with
 (1+a)*U = (1+b)*V in Z+[M]; the signed search for u, v with coefficients
 in [-c, c] and (1 +/- a) u = (1 +/- b) v in Z[M].  Both run one DFS that
-backtracks on the deficit D = lhs - rhs: the minimal uncovered canonical
-key must be covered by an element still to be added, so the branching
+backtracks on the deficit D = lhs - rhs: the minimal uncovered element
+must be covered by an element still to be added, so the branching
 factor is tiny.  The DFS from a seed never adds an element ordered before
 the seed, so no solution is searched for twice (see ``_search``).
 Exhaustion within the stated bounds is a normal, certifiable outcome.
@@ -23,6 +23,7 @@ relation back into a solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import (
     ModeMismatchError,
@@ -71,29 +72,27 @@ class OreInstance:
 
 
 def enumerate_pool(backend: Backend, length: int, max_index: int | None = None) -> list:
-    """Ball of radius ``length`` over the generating set, key-sorted.
+    """Ball of radius ``length`` over the generating set, sorted.
 
-    Group backends include inverse letters.  Elements are deduplicated by
-    canonical key and the identity is always present.
+    Group backends include inverse letters.  The identity is always present.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     letters = [g for _, g in backend.generators(max_index)]
     if backend.is_group:
         letters += [backend.inverse(g) for g in letters]
-    seen = {backend.canonical_key(backend.identity): backend.identity}
+    seen = {backend.identity}
     frontier = [backend.identity]
     for _ in range(length):
         grown = []
         for x in frontier:
             for letter in letters:
                 y = backend.multiply(x, letter)
-                k = backend.canonical_key(y)
-                if k not in seen:
-                    seen[k] = y
+                if y not in seen:
+                    seen.add(y)
                     grown.append(y)
         frontier = grown
-    return [seen[k] for k in sorted(seen)]
+    return sorted(seen)
 
 
 def make_instance(backend, a, b, max_support, pool_length, pool_max_index=None,
@@ -137,15 +136,11 @@ class Exhausted:
 
 @dataclass
 class SignedSolution:
-    u: tuple  # (coeff, element) pairs, key-sorted
+    u: tuple  # (coeff, element) pairs, sorted by element
     v: tuple
     lhs: SemiringElement
     rhs: SemiringElement
     verified: bool
-
-
-def _sorted_by_key(backend, elems):
-    return tuple(sorted(elems, key=backend.canonical_key))
 
 
 def verify_solution(backend, a, b, U, V) -> Solution:
@@ -158,8 +153,7 @@ def verify_solution(backend, a, b, U, V) -> Solution:
     rhs = sr_left_factor(b, v_sum)
     if not sr_equals(lhs, rhs):
         raise VerificationError("solution failed semiring verification")
-    return Solution(_sorted_by_key(backend, U), _sorted_by_key(backend, V),
-                    lhs, rhs, True)
+    return Solution(tuple(sorted(U)), tuple(sorted(V)), lhs, rhs, True)
 
 
 # ---------------------------------------------------------------------------
@@ -174,32 +168,28 @@ def _coeff_order(bound: int) -> list:
 class _Tables:
     """Pool images under a and b, built once per search.
 
-    Side 0 is u, side 1 is v.  ``images[side][i]`` holds the keys of
-    g = pool[i] and of a*g (side 0) or b*g (side 1); ``cover[side][k]``
-    lists, in pool order, the i whose images include k.  ``steps[side]``
-    lists (lam, d1, d2) in ``coeffs`` order: adding lam*g to u adds lam to
-    the deficit D at g and sa*lam at a*g, adding lam*h to v subtracts lam
-    at h and sb*lam at b*h.  Every canonical key is replaced by its rank in
-    sorted key order, so the DFS compares and hashes small ints; rank order
-    is key order, so ``min(D)`` picks the same key as it would on the keys
+    Side 0 is u, side 1 is v.  ``images[side][i]`` holds g = pool[i] and
+    a*g (side 0) or b*g (side 1); ``cover[side][k]`` lists, in pool order,
+    the i whose images include k.  ``steps[side]`` lists (lam, d1, d2) in
+    ``coeffs`` order: adding lam*g to u adds lam to the deficit D at g and
+    sa*lam at a*g, adding lam*h to v subtracts lam at h and sb*lam at b*h.
+    Every element is replaced by its rank in sorted order, so the DFS
+    compares and hashes small ints; rank order is element order, so
+    ``min(D)`` picks the same element as it would on the elements
     themselves.
     """
 
     def __init__(self, inst: OreInstance, coeffs):
         backend = inst.backend
-        key = backend.canonical_key
         self.pool = list(inst.pool)
-        keys = [
-            (key(g), key(backend.multiply(inst.a, g)), key(backend.multiply(inst.b, g)))
-            for g in self.pool
-        ]
-        rank = {k: r for r, k in enumerate(sorted({k for ks in keys for k in ks}))}
+        triples = [(g, backend.multiply(inst.a, g), backend.multiply(inst.b, g)) for g in self.pool]
+        rank = {x: r for r, x in enumerate(sorted({x for xs in triples for x in xs}))}
         sa, sb = inst.signs
         self.steps = ([(lam, lam, sa * lam) for lam in coeffs],
                       [(lam, -lam, -sb * lam) for lam in coeffs])
         images_a, images_b = self.images = ([], [])
         cover_u, cover_v = self.cover = ({}, {})
-        for i, (kg, kag, kbg) in enumerate(keys):
+        for i, (kg, kag, kbg) in enumerate(triples):
             kg, kag, kbg = rank[kg], rank[kag], rank[kbg]
             images_a.append((kg, kag))
             images_b.append((kg, kbg))
@@ -342,11 +332,11 @@ def expand_signed(backend, a, b, signs, u, v) -> SignedSolution:
     """Both sides of (1 + sa*a) u = (1 + sb*b) v in Z[M].
 
     ``u`` and ``v`` are (coefficient, element) terms; they come back
-    key-sorted, and ``verified`` says whether the two sides agree.
+    sorted by element, and ``verified`` says whether the two sides agree.
     """
 
     def side(terms, factor, sign):
-        terms = tuple(sorted(terms, key=lambda term: backend.canonical_key(term[1])))
+        terms = tuple(sorted(terms, key=lambda term: term[1]))
         total = SemiringElement.zero(backend, signed=True)
         for lam, g in terms:
             total = sr_add(total, SemiringElement.monomial(backend, g, lam, signed=True))
@@ -383,7 +373,7 @@ def search_signed(inst: OreInstance, jobs: int = 1):
 # relation graph
 # ---------------------------------------------------------------------------
 
-VertexId = tuple  # (canonical key, occurrence id)
+VertexId = tuple  # (element, occurrence id)
 
 
 @dataclass(frozen=True)
@@ -396,30 +386,22 @@ class GraphEdge:
 @dataclass
 class RelationGraph:
     vertices: tuple
-    elements: dict  # canonical key -> element
     a_edges: tuple
     b_edges: tuple
 
 
-def _assign_edges(backend, factor, members, label) -> tuple[list, dict]:
+def _assign_edges(backend, factor, members, label) -> list:
     """One labelled edge factor*g -> g per member, with occurrence ids
     handed out in sorted-stable order."""
-    key = backend.canonical_key
-    raw = sorted(
-        (key(backend.multiply(factor, g)), key(g), g) for g in members
-    )
     counter: dict = {}
     edges = []
-    elements = {}
-    for src_key, tgt_key, g in raw:
-        src_occ = counter.get(src_key, 0)
-        counter[src_key] = src_occ + 1
-        tgt_occ = counter.get(tgt_key, 0)
-        counter[tgt_key] = tgt_occ + 1
-        edges.append(GraphEdge((src_key, src_occ), (tgt_key, tgt_occ), label))
-        elements[src_key] = backend.multiply(factor, g)
-        elements[tgt_key] = g
-    return edges, elements
+    for src, tgt in sorted((backend.multiply(factor, g), g) for g in members):
+        src_occ = counter.get(src, 0)
+        counter[src] = src_occ + 1
+        tgt_occ = counter.get(tgt, 0)
+        counter[tgt] = tgt_occ + 1
+        edges.append(GraphEdge((src, src_occ), (tgt, tgt_occ), label))
+    return edges
 
 
 def build_relation_graph(backend, a, b, sol: Solution) -> RelationGraph:
@@ -427,22 +409,17 @@ def build_relation_graph(backend, a, b, sol: Solution) -> RelationGraph:
     incidence per vertex."""
     if not sol.verified:
         raise VerificationError("refusing to build a graph from an unverified solution")
-    left = [backend.canonical_key(x) for x in sr_as_multiset(sol.lhs)]
-    right = [backend.canonical_key(x) for x in sr_as_multiset(sol.rhs)]
-    if sorted(left) != sorted(right):
+    left = sr_as_multiset(sol.lhs)
+    if left != sr_as_multiset(sol.rhs):
         raise VerificationError("vertex multiset mismatch between the two sides")
-    a_edges, elems_a = _assign_edges(backend, a, sol.U, "a")
-    b_edges, elems_b = _assign_edges(backend, b, sol.V, "b")
-    counts: dict = {}
-    for k in left:
-        counts[k] = counts.get(k, 0) + 1
-    vertices = tuple((k, i) for k in sorted(counts) for i in range(counts[k]))
+    a_edges = _assign_edges(backend, a, sol.U, "a")
+    b_edges = _assign_edges(backend, b, sol.V, "b")
+    vertices = tuple((x, i) for x, run in groupby(left) for i, _ in enumerate(run))
     incident_a = [e.source for e in a_edges] + [e.target for e in a_edges]
     incident_b = [e.source for e in b_edges] + [e.target for e in b_edges]
     if sorted(incident_a) != list(vertices) or sorted(incident_b) != list(vertices):
         raise VerificationError("per-label incidence invariant violated")
-    elements = {**elems_a, **elems_b}
-    return RelationGraph(vertices, elements, tuple(a_edges), tuple(b_edges))
+    return RelationGraph(vertices, tuple(a_edges), tuple(b_edges))
 
 
 @dataclass
@@ -527,9 +504,7 @@ def relation_to_solution(backend, a, b, word: Word, pool=None) -> Solution:
     names = [g.name for g, _ in word]
     if set(names) - {"a", "b"} or any(names[i] == names[i + 1] for i in range(n - 1)):
         raise NotARelationError("label word must strictly alternate between a and b")
-    env, value = evaluate_label_word(backend, a, b, word)
-    if not env.is_identity(value):
-        raise NotARelationError("word does not evaluate to the identity")
+    env = backend.envelope()
     ea = backend.embed_to_envelope(a)
     eb = backend.embed_to_envelope(b)
     v = env.identity
@@ -543,29 +518,27 @@ def relation_to_solution(backend, a, b, word: Word, pool=None) -> Solution:
         (u_targets if gen.name == "a" else v_targets).append(target)
         v = nxt
         vertices.append(v)
-    if not env.equals(v, env.identity):
-        raise VerificationError("cycle walk did not close")
+    # v is now the inverse of the word's value
+    if not env.is_identity(v):
+        raise NotARelationError("word does not evaluate to the identity")
 
     if backend.is_group:
-        mu = min(vertices, key=backend.canonical_key)
-        t = backend.inverse(mu)
+        t = backend.inverse(min(vertices))
         U = [backend.multiply(x, t) for x in u_targets]
         V = [backend.multiply(x, t) for x in v_targets]
         return verify_solution(backend, a, b, U, V)
 
     if pool is None:
         raise ValueError("monoid backends need a candidate pool for embedding")
-    by_env_key = {
-        env.canonical_key(backend.embed_to_envelope(p)): p for p in pool
-    }
-    for t_elem in sorted(pool, key=backend.canonical_key):
+    by_envelope = {backend.embed_to_envelope(p): p for p in pool}
+    for t_elem in sorted(pool):
         ft = backend.embed_to_envelope(t_elem)
         U = []
         V = []
         ok = True
         for bucket, targets in ((U, u_targets), (V, v_targets)):
             for x in targets:
-                p = by_env_key.get(env.canonical_key(env.multiply(x, ft)))
+                p = by_envelope.get(env.multiply(x, ft))
                 if p is None:
                     ok = False
                     break

@@ -1,9 +1,9 @@
 """Exact arithmetic in Z+[M] and Z[M] over any backend.
 
-An element is a finite map from canonical keys to nonzero integer
-coefficients; each key caches the backend element it stands for, so
-convolution products never re-parse keys.  Unsigned elements (Z+[M]) admit
-no subtraction and never store a coefficient below one.
+An element is a finite map from backend elements to nonzero integer
+coefficients; backend elements are their own keys (see ``groups.base``).
+Unsigned elements (Z+[M]) admit no subtraction and never store a
+coefficient below one.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from .groups.base import Backend
 
 
 class SemiringElement:
-    __slots__ = ("backend", "signed", "coeffs", "elems")
+    __slots__ = ("backend", "signed", "coeffs")
 
-    def __init__(self, backend: Backend, signed: bool, coeffs: dict, elems: dict):
+    def __init__(self, backend: Backend, signed: bool, coeffs: dict):
         if not signed:
             bad = {k: c for k, c in coeffs.items() if c < 1}
             if bad:
@@ -23,20 +23,18 @@ class SemiringElement:
         self.backend = backend
         self.signed = signed
         self.coeffs = coeffs
-        self.elems = elems
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(backend: Backend, signed: bool = False) -> "SemiringElement":
-        return SemiringElement(backend, signed, {}, {})
+        return SemiringElement(backend, signed, {})
 
     @staticmethod
     def monomial(backend: Backend, element, coeff: int = 1, signed: bool = False):
         if coeff == 0:
             return SemiringElement.zero(backend, signed)
-        key = backend.canonical_key(element)
-        return SemiringElement(backend, signed, {key: coeff}, {key: element})
+        return SemiringElement(backend, signed, {element: coeff})
 
     @staticmethod
     def one(backend: Backend, signed: bool = False) -> "SemiringElement":
@@ -62,15 +60,15 @@ class SemiringElement:
         return len(self.coeffs)
 
     def items(self):
-        """(key, element, coefficient) triples in canonical key order."""
-        for key in sorted(self.coeffs):
-            yield key, self.elems[key], self.coeffs[key]
+        """(element, coefficient) pairs in element order."""
+        for element in sorted(self.coeffs):
+            yield element, self.coeffs[element]
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
         cs = self.backend.canonical_str
-        return " + ".join(f"{c}*{cs(e)}" for _, e, c in self.items())
+        return " + ".join(f"{c}*{cs(e)}" for e, c in self.items())
 
     def __repr__(self) -> str:
         mode = "Z" if self.signed else "Z+"
@@ -105,24 +103,19 @@ def _check_compat(x: SemiringElement, y: SemiringElement) -> None:
 def sr_add(x: SemiringElement, y: SemiringElement) -> SemiringElement:
     _check_compat(x, y)
     coeffs = dict(x.coeffs)
-    elems = dict(x.elems)
-    for k, c in y.coeffs.items():
-        new = coeffs.get(k, 0) + c
+    for g, c in y.coeffs.items():
+        new = coeffs.get(g, 0) + c
         if new:
-            coeffs[k] = new
-            elems[k] = y.elems[k]
+            coeffs[g] = new
         else:
-            coeffs.pop(k, None)
-            elems.pop(k, None)
-    return SemiringElement(x.backend, x.signed, coeffs, elems)
+            coeffs.pop(g, None)
+    return SemiringElement(x.backend, x.signed, coeffs)
 
 
 def sr_neg(x: SemiringElement) -> SemiringElement:
     if not x.signed:
         raise ModeMismatchError("negation needs signed mode")
-    return SemiringElement(
-        x.backend, True, {k: -c for k, c in x.coeffs.items()}, dict(x.elems)
-    )
+    return SemiringElement(x.backend, True, {g: -c for g, c in x.coeffs.items()})
 
 
 def sr_sub(x: SemiringElement, y: SemiringElement) -> SemiringElement:
@@ -135,20 +128,15 @@ def sr_mul(x: SemiringElement, y: SemiringElement) -> SemiringElement:
     _check_compat(x, y)
     backend = x.backend
     coeffs: dict = {}
-    elems: dict = {}
-    for k1, c1 in x.coeffs.items():
-        g1 = x.elems[k1]
-        for k2, c2 in y.coeffs.items():
-            prod = backend.multiply(g1, y.elems[k2])
-            k = backend.canonical_key(prod)
-            new = coeffs.get(k, 0) + c1 * c2
+    for g1, c1 in x.coeffs.items():
+        for g2, c2 in y.coeffs.items():
+            g = backend.multiply(g1, g2)
+            new = coeffs.get(g, 0) + c1 * c2
             if new:
-                coeffs[k] = new
-                elems[k] = prod
+                coeffs[g] = new
             else:
-                coeffs.pop(k, None)
-                elems.pop(k, None)
-    return SemiringElement(backend, x.signed, coeffs, elems)
+                coeffs.pop(g, None)
+    return SemiringElement(backend, x.signed, coeffs)
 
 
 def sr_scale(x: SemiringElement, n: int) -> SemiringElement:
@@ -156,9 +144,7 @@ def sr_scale(x: SemiringElement, n: int) -> SemiringElement:
         return SemiringElement.zero(x.backend, x.signed)
     if n < 0 and not x.signed:
         raise ModeMismatchError("negative scaling needs signed mode")
-    return SemiringElement(
-        x.backend, x.signed, {k: n * c for k, c in x.coeffs.items()}, dict(x.elems)
-    )
+    return SemiringElement(x.backend, x.signed, {g: n * c for g, c in x.coeffs.items()})
 
 
 def sr_equals(x: SemiringElement, y: SemiringElement) -> bool:
@@ -173,11 +159,11 @@ def sr_left_factor(c, x: SemiringElement) -> SemiringElement:
 
 
 def sr_as_multiset(x: SemiringElement) -> list:
-    """Elements of an unsigned value listed with multiplicity, key-sorted."""
+    """Elements of an unsigned value listed with multiplicity, sorted."""
     if x.signed:
         raise ModeMismatchError("multiset view is only defined in Z+[M]")
     out = []
-    for key, elem, coeff in x.items():
+    for elem, coeff in x.items():
         out.extend([elem] * coeff)
     return out
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from orecert.words import Generator, Word, concat, invert_word
 
@@ -54,3 +55,26 @@ def ab_alternating_words(k: int):
     slots = [a, b] * k
     for combo in itertools.product(*slots):
         yield tuple(combo)
+
+
+def rewrite_normalize(w: Word, strategy: str, rng: random.Random | None = None) -> tuple:
+    """Normal form of a positive word over x0, x1, ... by repeatedly
+    rewriting one adjacent violation x_j x_i -> x_i x_{j+1} (i < j): the
+    ``leftmost``, the ``rightmost`` or a ``random`` one.  Every strategy
+    agrees with ``pos_normalize`` because the rewriting system is
+    confluent."""
+    seq = [gen.index for gen, _ in w]
+    while True:
+        spots = [i for i in range(len(seq) - 1) if seq[i] > seq[i + 1]]
+        if not spots:
+            return tuple(seq)
+        if strategy == "leftmost":
+            i = spots[0]
+        elif strategy == "rightmost":
+            i = spots[-1]
+        elif strategy == "random":
+            i = (rng or random).choice(spots)
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        j, k = seq[i], seq[i + 1]
+        seq[i], seq[i + 1] = k, j + 1

@@ -13,7 +13,13 @@ import time
 from fractions import Fraction
 
 from fox import fox_trivial
-from helpers import ab_alternating_words, alternating_words, letters, random_word
+from helpers import (
+    ab_alternating_words,
+    alternating_words,
+    letters,
+    random_word,
+    rewrite_normalize,
+)
 
 from orecert.cli import main
 from orecert.folner import check_delta, check_epsilon, folner_ratios
@@ -226,9 +232,9 @@ def test_criterion_08_thompson_backend_checks():
         w = tuple((Generator("x", rng.randrange(5)), 1) for _ in range(rng.randrange(0, 11)))
         fold = pos_normalize(w)
         if not (
-            pos_normalize(w, "leftmost") == fold
-            and pos_normalize(w, "rightmost") == fold
-            and pos_normalize(w, "random", rng) == fold
+            rewrite_normalize(w, "leftmost") == fold
+            and rewrite_normalize(w, "rightmost") == fold
+            and rewrite_normalize(w, "random", rng) == fold
         ):
             ok = False
     by_nf = {}

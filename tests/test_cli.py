@@ -126,6 +126,21 @@ def test_folner_failure_exit_three():
     assert out.startswith("success: false\n")
 
 
+def test_verify_rejects_a_folner_success_flag_the_ratios_refute(tmp_path):
+    _, out, _ = run(
+        "folner", "--backend", "zm:2", "--epsilon", "1/2", "--budget", "100",
+        "--format", "json",
+    )
+    doc = json.loads(out)
+    assert doc["epsilon_ok"] is True and doc["success"] is True
+    doc["success"] = False
+    path = tmp_path / "fo.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", str(path))[:2] == (
+        1, "verification failed: field 'success' differs from the re-derived certificate\n"
+    )
+
+
 def test_verify_solution_roundtrip(tmp_path):
     _, out, _ = run(
         "ore-search", "--backend", "zm:2", "--a", "a", "--b", "b",

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from orecert.errors import NotARelationError, NotEmbeddableError
-from orecert.groups import MbBackend, PosMonoidBackend, ZmBackend
+from orecert.groups import FBackend, MbBackend, PosMonoidBackend, ZmBackend
 from orecert.ore import (
     Exhausted,
     SignedSolution,
@@ -56,6 +56,20 @@ def test_radius_zero_pool_is_identity():
 
 def test_mb_ball_radius_two():
     assert len(enumerate_pool(MB, 2)) == 17
+
+
+@pytest.mark.parametrize("backend", [ZM, MB, FBackend(), PM], ids=lambda b: b.name)
+def test_elements_are_their_own_keys(backend):
+    pool = enumerate_pool(backend, 2, 1)
+    names = strs(backend, pool)
+    # the same elements, as new objects read back from their text
+    again = [backend.element_from_str(s) for s in names]
+    for x, x2 in zip(pool, again):
+        assert backend.canonical_key(x) == x
+        assert x2 == x and hash(x2) == hash(x)
+    for (x, sx), (y, sy) in combinations_with_replacement(zip(pool, names), 2):
+        assert (x == y) == (sx == sy)
+    assert sorted(again) == pool
 
 
 # -- unsigned search ----------------------------------------------------------
@@ -143,11 +157,11 @@ def _zm_solution():
 def test_graph_structure_for_commutativity_solution():
     inst, sol = _zm_solution()
     graph = build_relation_graph(ZM, inst.a, inst.b, sol)
-    names = {k: ZM.canonical_str(e) for k, e in graph.elements.items()}
-    verts = sorted(names[k] for k, _ in graph.vertices)
+    name = ZM.canonical_str
+    verts = sorted(name(x) for x, _ in graph.vertices)
     assert verts == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
-    a_pairs = {(names[e.source[0]], names[e.target[0]]) for e in graph.a_edges}
-    b_pairs = {(names[e.source[0]], names[e.target[0]]) for e in graph.b_edges}
+    a_pairs = {(name(e.source[0]), name(e.target[0])) for e in graph.a_edges}
+    b_pairs = {(name(e.source[0]), name(e.target[0])) for e in graph.b_edges}
     assert a_pairs == {("(1,0)", "(0,0)"), ("(1,1)", "(0,1)")}
     assert b_pairs == {("(0,1)", "(0,0)"), ("(1,1)", "(1,0)")}
 
