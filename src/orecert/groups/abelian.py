@@ -39,9 +39,6 @@ class ZmBackend(Backend):
     def inverse(self, x):
         return tuple(-a for a in x)
 
-    def is_identity(self, x) -> bool:
-        return not any(x)
-
     # The element is its own key; kept per class so bench/tracer.py can wrap it.
     def canonical_key(self, x):
         return x
@@ -54,9 +51,3 @@ class ZmBackend(Backend):
         if len(t) != self.rank:
             raise BackendMismatchError(f"expected rank {self.rank}, got {len(t)}")
         return t
-
-    def generators(self, max_index=None):
-        return [
-            (self.alphabet.names[i], self.generator_element(self.alphabet.generator(i)))
-            for i in range(self.rank)
-        ]

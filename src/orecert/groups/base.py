@@ -7,7 +7,9 @@ values that can be shared freely, and each element is its own canonical
 key: ``==`` on elements is equality in the monoid, ``hash`` agrees with it,
 and ``<`` is a total order that fixes every deterministic ordering (pools,
 search ranks, certificate listings).  So sets, dict keys and ``sorted``
-take elements directly.
+take elements directly, and one ``is_identity`` (``== identity``) and one
+``generators`` (every letter of a named alphabet, or x0 .. x_K of the
+indexed one, x0, x1 when K is None) serve every backend.
 """
 
 from __future__ import annotations
@@ -81,8 +83,15 @@ class Backend:
     # -- standard generators ------------------------------------------------
 
     def generators(self, max_index: int | None = None) -> list:
-        """Standard generating elements, as (label, element) pairs."""
-        raise NotImplementedError
+        """Standard generating elements, as (label, element) pairs: every
+        letter of a named alphabet, or x0 .. x_K of the indexed one for
+        K = ``max_index`` (x0, x1 when it is None)."""
+        if self.alphabet.kind == "named":
+            count = len(self.alphabet.names)
+        else:
+            count = 2 if max_index is None else max_index + 1
+        gens = [self.alphabet.generator(i) for i in range(count)]
+        return [(str(g), self.generator_element(g)) for g in gens]
 
     # -- group envelope -----------------------------------------------------
 

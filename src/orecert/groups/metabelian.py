@@ -85,9 +85,6 @@ class MbBackend(Backend):
         }
         return FlowElement(inv_t, _freeze(flow))
 
-    def is_identity(self, x: FlowElement) -> bool:
-        return not any(x.t) and not x.flow
-
     # The element is its own key; kept per class so bench/tracer.py can wrap it.
     def canonical_key(self, x: FlowElement) -> FlowElement:
         return x
@@ -122,12 +119,6 @@ class MbBackend(Backend):
         if boundary_defect(x):
             raise ValueError(f"flow violates the boundary condition: {s!r}")
         return x
-
-    def generators(self, max_index=None):
-        return [
-            (self.alphabet.names[i], self.generator_element(self.alphabet.generator(i)))
-            for i in range(self.rank)
-        ]
 
 
 def boundary_defect(x: FlowElement) -> dict[tuple[int, ...], int]:

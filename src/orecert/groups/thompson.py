@@ -157,9 +157,6 @@ class FBackend(Backend):
     def inverse(self, x: TreePair) -> TreePair:
         return TreePair(x.range, x.domain)
 
-    def is_identity(self, x: TreePair) -> bool:
-        return x.domain == "L" and x.range == "L"
-
     # The element is its own key; kept per class so bench/tracer.py can wrap it.
     def canonical_key(self, x: TreePair) -> TreePair:
         return x
@@ -174,10 +171,6 @@ class FBackend(Backend):
         if tree_leaves(tree_from_str(dom)) != tree_leaves(tree_from_str(rng)):
             raise ValueError("leaf counts differ")
         return _reduced(dom, rng)
-
-    def generators(self, max_index: int | None = None):
-        top = 1 if max_index is None else max_index
-        return [(f"x{i}", self.generator_pair(i)) for i in range(top + 1)]
 
 
 NormalForm = tuple[int, ...]
@@ -228,9 +221,6 @@ class PosMonoidBackend(Backend):
             x = _append_generator(x, q)
         return x
 
-    def is_identity(self, x: NormalForm) -> bool:
-        return not x
-
     # The element is its own key; kept per class so bench/tracer.py can wrap it.
     def canonical_key(self, x: NormalForm):
         return x
@@ -246,15 +236,8 @@ class PosMonoidBackend(Backend):
             return ()
         return self.from_word(self.parse(s))
 
-    def generators(self, max_index: int | None = None):
-        top = 1 if max_index is None else max_index
-        return [(f"x{i}", (i,)) for i in range(top + 1)]
-
     def envelope(self) -> FBackend:
         return self._envelope
 
     def embed_to_envelope(self, x: NormalForm) -> TreePair:
-        pair = self._envelope.identity
-        for i in x:
-            pair = self._envelope.multiply(pair, self._envelope.generator_pair(i))
-        return pair
+        return self._envelope.from_word([(self.alphabet.generator(i), 1) for i in x])

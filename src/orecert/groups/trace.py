@@ -65,17 +65,6 @@ class AltTrace:
     witness: str
 
 
-def _check_cyclic_shape(w: Word) -> None:
-    n = len(w)
-    if n < 2 or n % 2:
-        raise VerificationError(f"alternating invariant lost: length {n}")
-    for i in range(n):
-        if w[i][0].index % 2 == w[(i + 1) % n][0].index % 2:
-            raise VerificationError(
-                f"alternating invariant lost at position {i}: {print_word(w)}"
-            )
-
-
 def _min_subscript_witness(w: Word) -> tuple[int, int]:
     """(alpha, exponent sum of x_alpha) for the minimal subscript alpha."""
     alpha = min(g.index for g, _ in w)
@@ -116,7 +105,8 @@ def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
     steps: list[TraceStep] = []
     current = w
     while True:
-        _check_cyclic_shape(current)
+        if not is_alternating(current, cyclic=True):
+            raise VerificationError(f"alternating invariant lost: {print_word(current)}")
         alpha, total = _min_subscript_witness(current)
         if total != 0:
             witness = f"exponent sum of x{alpha} is {total:+d}"

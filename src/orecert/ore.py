@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 
 from .errors import (
     ModeMismatchError,
@@ -415,10 +416,9 @@ def build_relation_graph(backend, a, b, sol: Solution) -> RelationGraph:
     a_edges = _assign_edges(backend, a, sol.U, "a")
     b_edges = _assign_edges(backend, b, sol.V, "b")
     vertices = tuple((x, i) for x, run in groupby(left) for i, _ in enumerate(run))
-    incident_a = [e.source for e in a_edges] + [e.target for e in a_edges]
-    incident_b = [e.source for e in b_edges] + [e.target for e in b_edges]
-    if sorted(incident_a) != list(vertices) or sorted(incident_b) != list(vertices):
-        raise VerificationError("per-label incidence invariant violated")
+    for edges in (a_edges, b_edges):
+        if sorted([e.source for e in edges] + [e.target for e in edges]) != list(vertices):
+            raise VerificationError("per-label incidence invariant violated")
     return RelationGraph(vertices, tuple(a_edges), tuple(b_edges))
 
 
@@ -428,21 +428,29 @@ class AlternatingRelation:
     verified: bool
 
 
-def evaluate_label_word(backend, a, b, word: Word):
-    """Evaluate a word over the labels {a, b} in the backend's envelope."""
+def _walk(backend, a, b, word: Word):
+    """Walk a label word over {a, b} in the backend's envelope.
+
+    The walk starts at the identity and steps v -> label^-exponent * v, so
+    each letter realises one graph edge label*t -> t: its target t is the
+    vertex the step enters when the exponent is +1 and the one it leaves
+    when it is -1.  Returns the envelope, the vertices visited and the
+    targets of the a-edges and of the b-edges, in word order.  The last
+    vertex is the inverse of the word's value, so it is the identity
+    exactly when the word is a relation.
+    """
     env = backend.envelope()
-    ea = backend.embed_to_envelope(a)
-    eb = backend.embed_to_envelope(b)
-    x = env.identity
+    letters = {"a": backend.embed_to_envelope(a), "b": backend.embed_to_envelope(b)}
+    steps = {name: (env.inverse(x), x) for name, x in letters.items()}  # by exponent < 0
+    targets = {"a": [], "b": []}
+    v = env.identity
+    vertices = [v]
     for gen, exp in word:
-        if gen.name == "a":
-            letter = ea
-        elif gen.name == "b":
-            letter = eb
-        else:
-            raise ValueError(f"label word may only use a and b, found {gen}")
-        x = env.multiply(x, letter if exp > 0 else env.inverse(letter))
-    return env, x
+        nxt = env.multiply(steps[gen.name][exp < 0], v)
+        targets[gen.name].append(nxt if exp > 0 else v)
+        v = nxt
+        vertices.append(v)
+    return env, vertices, targets["a"], targets["b"]
 
 
 def extract_cycles(graph: RelationGraph, backend, a, b) -> list[AlternatingRelation]:
@@ -452,14 +460,13 @@ def extract_cycles(graph: RelationGraph, backend, a, b) -> list[AlternatingRelat
     moving along an edge's direction reads the label, moving against it the
     inverse.  Every cycle word must evaluate to the identity.
     """
-    a_inc: dict = {}
-    b_inc: dict = {}
-    for edge in graph.a_edges:
-        a_inc[edge.source] = (edge, "src")
-        a_inc[edge.target] = (edge, "tgt")
-    for edge in graph.b_edges:
-        b_inc[edge.source] = (edge, "src")
-        b_inc[edge.target] = (edge, "tgt")
+    # per label: vertex -> (other end of its edge, exponent read leaving it)
+    tables = ({}, {})
+    for table, edges in zip(tables, (graph.a_edges, graph.b_edges)):
+        for edge in edges:
+            table[edge.source] = (edge.target, 1)
+            table[edge.target] = (edge.source, -1)
+    labels = (Generator("a"), Generator("b"))
     visited = set()
     relations = []
     for start in graph.vertices:
@@ -467,36 +474,31 @@ def extract_cycles(graph: RelationGraph, backend, a, b) -> list[AlternatingRelat
             continue
         letters = []
         current = start
-        use_a = True
+        side = 0
         while True:
             visited.add(current)
-            edge, role = (a_inc if use_a else b_inc)[current]
-            if role == "src":
-                letters.append((Generator(edge.label), 1))
-                current = edge.target
-            else:
-                letters.append((Generator(edge.label), -1))
-                current = edge.source
-            use_a = not use_a
-            if current == start and use_a:
+            current, exp = tables[side][current]
+            letters.append((labels[side], exp))
+            side = 1 - side
+            if current == start and not side:
                 break
         word = tuple(letters)
-        env, value = evaluate_label_word(backend, a, b, word)
-        if not env.is_identity(value):
+        env, vertices, _, _ = _walk(backend, a, b, word)
+        if not env.is_identity(vertices[-1]):
             raise VerificationError("cycle label does not evaluate to the identity")
         relations.append(AlternatingRelation(word, True))
     return relations
 
 
 def relation_to_solution(backend, a, b, word: Word, pool=None) -> Solution:
-    """Rebuild a solution from an alternating relation by walking its cycle.
+    """Rebuild a solution from an alternating relation by walking its cycle
+    (see ``_walk``).
 
-    The walk starts at the identity and steps v -> label^-exponent * v, so
-    each step realises one graph edge.  On group backends the vertex set is
-    right-translated so its minimal vertex becomes the identity.  On monoid
-    backends the walk happens in the group envelope and every right
-    translation by a pool element is attempted until all vertices land in
-    the pool; failing that is a normal negative outcome.
+    On group backends the vertex set is right-translated so its minimal
+    vertex becomes the identity.  On monoid backends the walk happens in
+    the group envelope and every right translation by a pool element, in
+    sorted order, is attempted until all edge targets land in the pool;
+    failing that is a normal negative outcome.
     """
     n = len(word)
     if n < 2 or n % 2:
@@ -504,22 +506,8 @@ def relation_to_solution(backend, a, b, word: Word, pool=None) -> Solution:
     names = [g.name for g, _ in word]
     if set(names) - {"a", "b"} or any(names[i] == names[i + 1] for i in range(n - 1)):
         raise NotARelationError("label word must strictly alternate between a and b")
-    env = backend.envelope()
-    ea = backend.embed_to_envelope(a)
-    eb = backend.embed_to_envelope(b)
-    v = env.identity
-    vertices = [v]
-    u_targets = []
-    v_targets = []
-    for gen, exp in word:
-        letter = ea if gen.name == "a" else eb
-        nxt = env.multiply(env.inverse(letter), v) if exp > 0 else env.multiply(letter, v)
-        target = nxt if exp > 0 else v
-        (u_targets if gen.name == "a" else v_targets).append(target)
-        v = nxt
-        vertices.append(v)
-    # v is now the inverse of the word's value
-    if not env.is_identity(v):
+    env, vertices, u_targets, v_targets = _walk(backend, a, b, word)
+    if not env.is_identity(vertices[-1]):
         raise NotARelationError("word does not evaluate to the identity")
 
     if backend.is_group:
@@ -530,23 +518,19 @@ def relation_to_solution(backend, a, b, word: Word, pool=None) -> Solution:
 
     if pool is None:
         raise ValueError("monoid backends need a candidate pool for embedding")
-    by_envelope = {backend.embed_to_envelope(p): p for p in pool}
-    for t_elem in sorted(pool):
-        ft = backend.embed_to_envelope(t_elem)
-        U = []
-        V = []
-        ok = True
-        for bucket, targets in ((U, u_targets), (V, v_targets)):
-            for x in targets:
-                p = by_envelope.get(env.multiply(x, ft))
-                if p is None:
-                    ok = False
-                    break
-                bucket.append(p)
-            if not ok:
+    embedded = [(backend.embed_to_envelope(p), p) for p in pool]
+    by_envelope = dict(embedded)
+    targets = u_targets + v_targets
+    for ft, _ in sorted(embedded, key=itemgetter(1)):
+        found = []
+        for x in targets:
+            p = by_envelope.get(env.multiply(x, ft))
+            if p is None:
                 break
-        if ok:
-            return verify_solution(backend, a, b, U, V)
+            found.append(p)
+        else:
+            k = len(u_targets)
+            return verify_solution(backend, a, b, found[:k], found[k:])
     raise NotEmbeddableError(
         "vertices not embeddable in the monoid within pool translations"
     )
