@@ -19,14 +19,14 @@ from .trace import AltTrace, TraceStep, alt_trace, verify_trace
 def make_backend(selector: str) -> Backend:
     """Build a backend from a selector such as ``zm:2``, ``mb:3``, ``f``,
     or ``posmon``."""
-    kind, _, arg = selector.partition(":")
+    kind, colon, arg = selector.partition(":")
     if kind == "zm":
         return ZmBackend(int(arg) if arg else 2)
     if kind == "mb":
         return MbBackend(int(arg) if arg else 2)
-    if kind == "f":
+    if kind == "f" and not colon:
         return FBackend()
-    if kind == "posmon":
+    if kind == "posmon" and not colon:
         return PosMonoidBackend()
     raise ValueError(f"unknown backend selector {selector!r}")
 

@@ -381,7 +381,6 @@ VertexId = tuple  # (element, occurrence id)
 class GraphEdge:
     source: VertexId
     target: VertexId
-    label: str
 
 
 @dataclass
@@ -391,8 +390,8 @@ class RelationGraph:
     b_edges: tuple
 
 
-def _assign_edges(backend, factor, members, label) -> list:
-    """One labelled edge factor*g -> g per member, with occurrence ids
+def _assign_edges(backend, factor, members) -> list:
+    """One edge factor*g -> g per member, with occurrence ids
     handed out in sorted-stable order."""
     counter: dict = {}
     edges = []
@@ -401,7 +400,7 @@ def _assign_edges(backend, factor, members, label) -> list:
         counter[src] = src_occ + 1
         tgt_occ = counter.get(tgt, 0)
         counter[tgt] = tgt_occ + 1
-        edges.append(GraphEdge((src, src_occ), (tgt, tgt_occ), label))
+        edges.append(GraphEdge((src, src_occ), (tgt, tgt_occ)))
     return edges
 
 
@@ -413,8 +412,8 @@ def build_relation_graph(backend, a, b, sol: Solution) -> RelationGraph:
     left = sr_as_multiset(sol.lhs)
     if left != sr_as_multiset(sol.rhs):
         raise VerificationError("vertex multiset mismatch between the two sides")
-    a_edges = _assign_edges(backend, a, sol.U, "a")
-    b_edges = _assign_edges(backend, b, sol.V, "b")
+    a_edges = _assign_edges(backend, a, sol.U)
+    b_edges = _assign_edges(backend, b, sol.V)
     vertices = tuple((x, i) for x, run in groupby(left) for i, _ in enumerate(run))
     for edges in (a_edges, b_edges):
         if sorted([e.source for e in edges] + [e.target for e in edges]) != list(vertices):

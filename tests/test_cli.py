@@ -445,3 +445,11 @@ def test_folner_without_generators_is_a_usage_error(tmp_path):
     assert _verify_doc(tmp_path, doc)[:2] == (
         1, "verification failed: malformed certificate: at least one generator is needed\n",
     )
+
+
+def test_backend_without_parameters_rejects_an_argument():
+    for selector in ("f:3", "posmon:junk"):
+        code, out, err = run("wp", "--backend", selector, "x0")
+        assert code == 2
+        assert out == ""
+        assert selector in err

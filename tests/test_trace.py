@@ -1,12 +1,14 @@
+import dataclasses
 import itertools
 
 import pytest
 
+import trace_reference
 from helpers import alternating_words
 
-from orecert.errors import NotAlternatingError
+from orecert.errors import NotAlternatingError, VerificationError
 from orecert.groups import FBackend, alt_trace, verify_trace
-from orecert.groups.trace import AltTrace
+from orecert.groups.trace import AltTrace, TraceStep
 from orecert.words import Alphabet, Generator, parse_word, print_word
 
 FB = FBackend()
@@ -115,3 +117,71 @@ def test_verify_rejects_broken_chain():
     t2 = alt_trace(tw("x0 x3 x0^-1 x3^-1"), FB)
     mixed = AltTrace(t1.word, t2.steps, t2.verdict, t2.witness)
     assert not verify_trace(mixed, FB)
+
+
+def test_verify_rejects_valid_but_non_canonical_trace():
+    # The first x0^-1 v x0 site is at 0; taking the one at 4 instead gives a
+    # trace whose every step holds in F, but alt_trace does not derive it.
+    w = tw("x0^-1 x1 x0 x1 x0^-1 x3 x0 x1^-1")
+    assert alt_trace(w, FB).steps[0].rotation == 0
+    first = TraceStep(
+        "conjugate_x0",
+        w,
+        tw("x4 x1^-1 x0^-1 x1 x0 x1"),
+        rotation=4,
+        conjugator=w[:4],
+    )
+    rest = alt_trace(first.output_word, FB)
+    other = AltTrace(w, (first, *rest.steps), "nontrivial", rest.witness)
+    assert trace_reference.verify_trace(other, FB)
+    assert not verify_trace(other, FB)
+
+
+def test_verify_reads_every_field():
+    trace = alt_trace(tw("x0 x1 x0^-1 x1^-1"), FB)
+    conj, witness = trace.steps
+    for edited in (
+        (dataclasses.replace(conj, alpha=7), witness),
+        (dataclasses.replace(conj, witness="anything"), witness),
+        (conj, dataclasses.replace(witness, rotation=5)),
+    ):
+        assert not verify_trace(dataclasses.replace(trace, steps=edited), FB)
+    assert not verify_trace(dataclasses.replace(trace, witness="bogus"), FB)
+
+
+def test_verify_returns_false_on_an_impossible_shift():
+    trace = alt_trace(tw("x2 x1 x2^-1 x1^-1"), FB)
+    shift = trace.steps[0]
+    assert shift.rule == "shift"
+    edited = (dataclasses.replace(shift, alpha=2), *trace.steps[1:])
+    assert verify_trace(dataclasses.replace(trace, steps=edited), FB) is False
+
+
+class LengthBackend(FBackend):
+    """Evaluates a word to its length: no F fact holds in it."""
+
+    def from_word(self, word):
+        return len(word)
+
+
+def test_failed_f_check_raises_and_verify_returns_false():
+    w = tw("x0 x1 x0^-1 x1^-1")
+    with pytest.raises(VerificationError, match="not confirmed by the tree-pair backend"):
+        alt_trace(w, LengthBackend())
+    assert verify_trace(alt_trace(w, FB), LengthBackend()) is False
+
+
+class ShiftBlindBackend(FBackend):
+    """Takes one nontrivial element of F for the identity."""
+
+    def is_identity(self, x):
+        return x == self.from_word(tw("x1 x0 x1^-1 x0^-1"))
+
+
+def test_shift_that_changes_identity_status_raises():
+    # Only the shift step reads is_identity: the conjugations still hold.
+    assert alt_trace(tw("x0 x1 x0^-1 x1^-1"), ShiftBlindBackend()).steps
+    w = tw("x2 x1 x2^-1 x1^-1")
+    with pytest.raises(VerificationError, match="not confirmed by the tree-pair backend"):
+        alt_trace(w, ShiftBlindBackend())
+    assert verify_trace(alt_trace(w, FB), ShiftBlindBackend()) is False
