@@ -21,6 +21,7 @@ from .ore import (
     relation_to_solution,
     search_common_multiple,
     search_signed,
+    solve,
 )
 from .semiring import SemiringElement, sr_add, sr_as_multiset, sr_equals, sr_left_factor, sr_mul
 from .words import (

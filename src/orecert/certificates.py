@@ -4,10 +4,10 @@ Each certificate kind is derived by one function from typed inputs; the CLI
 calls it to emit a document, and ``verify`` reads the inputs back from a
 document, derives it again and accepts only if the two serialise to the
 same bytes.  Claims a derivation cannot reproduce are checked on their own:
-an exhaustion re-runs its search, a signed solution has its bounds checked,
-and a solution's |U| and |V| must not exceed n.  All documents are
-serialised with sorted keys so byte-identical output is a function of
-content only.
+an exhaustion re-runs its search through ``ore.solve``, as the CLI ran it,
+a signed solution has its bounds checked, and a solution's |U| and |V|
+must not exceed n.  All documents are serialised with sorted keys so
+byte-identical output is a function of content only.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .ore import (
     extract_cycles,
     make_instance,
     relation_to_solution,
-    search_common_multiple,
-    search_signed,
+    solve,
     verify_solution,
 )
 from .semiring import sr_text
@@ -363,7 +362,7 @@ def _same(doc: dict, rebuilt: dict) -> None:
 def _check_exhausted(doc: dict) -> None:
     inst = _instance(doc)
     _same(doc, exhausted_certificate(inst))
-    outcome = search_signed(inst) if inst.signed else search_common_multiple(inst)
+    outcome = solve(inst)
     if not isinstance(outcome, Exhausted):
         raise OrecertError("a solution exists within the stated bounds")
 

@@ -23,7 +23,7 @@ from . import certificates as certs
 from .errors import NotARelationError, OrecertError, VerificationError
 from .folner import greedy_folner_search
 from .groups import make_backend
-from .ore import Exhausted, make_instance, search_common_multiple, search_signed
+from .ore import Exhausted, make_instance, solve
 from .words import Alphabet, parse_word
 
 EXIT_OK = 0
@@ -69,7 +69,7 @@ def _ore(args) -> dict:
         coeff_bound=args.coeff_bound if signed else None,
         signs=certs._signs_from_str(args.signs) if signed else (1, 1),
     )
-    outcome = (search_signed if signed else search_common_multiple)(inst, jobs=args.jobs)
+    outcome = solve(inst)
     if isinstance(outcome, Exhausted):
         return certs.exhausted_certificate(inst)
     return (certs.signed_certificate if signed else certs.solution_certificate)(inst, outcome)

@@ -18,6 +18,14 @@ one b-incidence, so the edges split into disjoint cycles whose labels spell
 alternating relations; reading an edge along its direction contributes the
 label, against it the inverse.  ``relation_to_solution`` walks a verified
 relation back into a solution.
+
+The converse bounds the unsigned search from outside the pool: a solution
+of mass m spells alternating relations of length at most 2m, so when
+``alternating_relation_length`` finds no trivial alternating word of
+length <= 2n, no pool holds a solution of mass <= n.  ``solve``, the entry
+point of the CLI and of ``verify``, runs that meet-in-the-middle check
+before an unsigned DFS and reports the exhaustion without building the
+search tables when it proves this.
 """
 
 from __future__ import annotations
@@ -368,6 +376,86 @@ def search_signed(inst: OreInstance, jobs: int = 1):
     if not sol.verified:
         raise VerificationError("signed solution failed verification")
     return sol
+
+
+@dataclass(frozen=True)
+class RelationCheck:
+    """Outcome of ``alternating_relation_length``: ``length`` is the least
+    length of a trivial alternating word, or None; ``decided`` is False when
+    the budget stopped the check short of length 2n; ``multiplies`` counts
+    the envelope multiplies it made."""
+
+    length: int | None
+    decided: bool
+    multiplies: int
+
+
+def alternating_relation_length(backend, a, b, n: int, budget: int) -> RelationCheck:
+    """Least length 2k <= 2n of a trivial alternating word over a^+-1,
+    b^+-1 in the backend's envelope, by meet in the middle.
+
+    Level k holds A_k and B_k, the values of the alternating words of
+    length k that start with a and with b, over all sign choices; each
+    level is the one before multiplied on the right by both signs of the
+    next letter.  An alternating word of length 2k that starts with a is
+    u w with u in A_k, and w^-1 starts with a letter of w's last label,
+    which is b, so w^-1 is a word of B_k; conversely u v^-1 alternates for
+    u in A_k and v in B_k.  So such a word is trivial exactly when A_k and
+    B_k meet.  A trivial word that starts with b rotates, by one letter,
+    into a trivial word of the same length that starts with a.  Level k
+    costs 2 (|A_(k-1)| + |B_(k-1)|) <= 2^(k+1) multiplies; the check stops
+    undecided as soon as the next level would take the count past
+    ``budget``.
+
+    Soundness of "none up to 2n" for the unsigned search: a solution U, V
+    of mass m >= 1 has a relation graph (``build_relation_graph``) with m
+    a-edges and m b-edges, 2m edges in all, and every vertex carries one
+    a- and one b-incidence.  So the graph is a disjoint union of cycles that
+    alternate a- and b-edges, each of even length at most 2m.
+    ``extract_cycles`` starts each cycle at an a-incidence, and ``_walk``
+    proves each cycle word trivial in the envelope.  Length 2 is the case
+    a = b^-+1, met at level 1.  So a solution of mass m <= n gives a
+    trivial alternating word of length <= 2n that starts with a, and when
+    no A_k meets B_k for k <= n, no pool holds a solution of mass <= n.
+    """
+    env = backend.envelope()
+    x, y = backend.embed_to_envelope(a), backend.embed_to_envelope(b)
+    letters = ((x, env.inverse(x)), (y, env.inverse(y)))
+    A, B = set(letters[0]), set(letters[1])
+    multiplies = 0
+    for k in range(1, n + 1):
+        if k > 1:
+            cost = 2 * (len(A) + len(B))
+            if multiplies + cost > budget:
+                return RelationCheck(None, False, multiplies)
+            multiplies += cost
+            # letter k of a word of A_k is an a-letter when k is odd
+            A = {env.multiply(v, s) for v in A for s in letters[(k - 1) % 2]}
+            B = {env.multiply(v, s) for v in B for s in letters[k % 2]}
+        if not A.isdisjoint(B):
+            return RelationCheck(2 * k, True, multiplies)
+    return RelationCheck(None, True, multiplies)
+
+
+def solve(inst: OreInstance):
+    """The search outcome of an instance, as ``search_signed`` or
+    ``search_common_multiple`` gives it.
+
+    An unsigned instance first runs ``alternating_relation_length`` with a
+    budget of 2 |pool| multiplies, the cost of the search tables, so the
+    check never costs more than the work it can save.  When it proves that
+    no alternating word of length <= 2n is trivial, no solution of mass <=
+    n exists and the outcome is an Exhausted report with 0 nodes; otherwise
+    the DFS runs.  Signed instances always run the DFS: Z[M] solutions
+    spell relations of any even length.
+    """
+    if inst.signed:
+        return search_signed(inst)
+    check = alternating_relation_length(
+        inst.backend, inst.a, inst.b, inst.max_support, 2 * len(inst.pool))
+    if check.decided and check.length is None:
+        return Exhausted(inst.bounds(), len(inst.pool), 0)
+    return search_common_multiple(inst)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import io
 import json
 
 from orecert import certificates as certs
+from orecert import ore
 from orecert.cli import main
+from orecert.groups import make_backend
 from orecert.ore import verify_solution
 
 
@@ -453,3 +455,52 @@ def test_backend_without_parameters_rejects_an_argument():
         assert code == 2
         assert out == ""
         assert selector in err
+
+
+def _dfs_calls(monkeypatch):
+    """Record the outcome of every unsigned DFS that ``solve`` runs."""
+    outcomes = []
+    search = ore.search_common_multiple
+
+    def spy(inst):
+        outcomes.append(search(inst))
+        return outcomes[-1]
+
+    monkeypatch.setattr(ore, "search_common_multiple", spy)
+    return outcomes
+
+
+def test_relation_check_does_not_swallow_the_dfs(tmp_path, monkeypatch):
+    # (1+x0^2) and (1+x1) have a mass-6 solution in posmon, from a trivial
+    # alternating word of length 12: at n = 5 the relation check proves the
+    # exhaustion, at n = 6 it finds that word and the DFS finds the solution.
+    dfs = _dfs_calls(monkeypatch)
+    code, out, _ = run(
+        "ore-search", "--backend", "posmon", "--a", "x0 x0", "--b", "x1",
+        "--max-support", "5", "--pool-len", "4", "--pool-idx", "5", "--format", "json",
+    )
+    assert code == 3 and dfs == []
+    doc = json.loads(out)
+    doc["bounds"]["n"] = 6
+    path = tmp_path / "n6.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run("verify", str(path))
+    assert (code, out) == (1, "verification failed: a solution exists within the stated bounds\n")
+    assert [type(outcome).__name__ for outcome in dfs] == ["Solution"]
+
+
+def test_relation_check_stays_within_its_budget(monkeypatch):
+    # All 2^42 or so multiplies of lengths up to 80 would never finish; the
+    # pool of 7 elements allows 14, so the check stops undecided after level
+    # 2 (8 multiplies) and the DFS decides.
+    backend = make_backend("f")
+    check = ore.alternating_relation_length(
+        backend, backend.from_text("x0"), backend.from_text("x1"), 40, 2 * 7)
+    assert (check.length, check.decided, check.multiplies) == (None, False, 8)
+    dfs = _dfs_calls(monkeypatch)
+    code, out, _ = run(
+        "ore-search", "--backend", "f", "--a", "x0", "--b", "x1",
+        "--max-support", "40", "--pool-len", "1",
+    )
+    assert (code, out) == (3, "exhausted\n")
+    assert len(dfs) == 1 and dfs[0].pool_size == 7 and dfs[0].nodes > 0
