@@ -290,18 +290,19 @@ def _fraction(doc: dict, key: str):
 
 
 def _instance(doc: dict) -> OreInstance:
+    """The instance a document states.  c chooses the ring: the signs are
+    read only when c is set, and ``mode`` and ``signs`` are re-derived."""
     backend = _backend(doc)
     a, b = (backend.element_from_str(_get(doc, key, str)) for key in "ab")
     bounds = _get(doc, "bounds", dict)
-    signed = _get(doc, "mode", str) == "signed"
+    c = _get(bounds, "c", int, optional=True)
     return make_instance(
         backend, a, b,
         _get(bounds, "n", int),
         _get(bounds, "L", int),
         _get(bounds, "K", int, optional=True),
-        signed=signed,
-        coeff_bound=_get(bounds, "c", int, optional=True),
-        signs=_signs_from_str(_get(doc, "signs", str)) if signed else (1, 1),
+        coeff_bound=c,
+        signs=(1, 1) if c is None else _signs_from_str(_get(doc, "signs", str)),
     )
 
 
@@ -323,6 +324,8 @@ def solution_inputs(doc: dict) -> tuple[OreInstance, Solution]:
 def _reverify_signed(inst, u, v) -> SignedSolution:
     backend = inst.backend
     c = inst.coeff_bound
+    if c is None:
+        raise OrecertError("a signed solution needs a coefficient bound c")
     for name, terms in (("u", u), ("v", v)):
         if len(terms) > inst.max_support:
             raise OrecertError(f"{name} has more than n = {inst.max_support} support elements")

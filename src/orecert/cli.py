@@ -3,12 +3,12 @@
 Subcommands: wp, canon, alt-check, alt-trace, ore-search, ore-signed,
 extract, rel2sol, folner, pool, verify.  Every subcommand but verify derives
 one certificate document; --format json prints it and the table lines are
-read off it.  Exit codes: 0 success or verified or found, 3 bounded search
-exhausted, relation not embeddable or Folner target missed (a normal
-negative result), 1 verification failure, 2 usage error.  Output is
-deterministic byte for byte.  --backend is taken by the subcommands that
-build a backend from it; the searches run serially, and --jobs is accepted
-by ore-search and ore-signed and changes nothing.
+read off it; verify prints one line.  Exit codes: 0 success or verified or
+found, 3 bounded search exhausted, relation not embeddable or Folner target
+missed (a normal negative result), 1 verification failure, 2 usage error.
+Output is deterministic byte for byte.  --backend is taken by the
+subcommands that build a backend from it; the searches run serially, and
+--jobs is accepted by ore-search and ore-signed and changes nothing.
 """
 
 from __future__ import annotations
@@ -56,23 +56,16 @@ def _alt_trace(args) -> dict:
 
 
 def _ore(args) -> dict:
-    signed = args.command == "ore-signed"
     backend = make_backend(args.backend)
     inst = make_instance(
-        backend,
-        backend.from_text(args.a),
-        backend.from_text(args.b),
-        args.max_support,
-        args.pool_len,
-        args.pool_idx,
-        signed=signed,
-        coeff_bound=args.coeff_bound if signed else None,
-        signs=certs._signs_from_str(args.signs) if signed else (1, 1),
+        backend, backend.from_text(args.a), backend.from_text(args.b),
+        args.max_support, args.pool_len, args.pool_idx,
+        coeff_bound=args.coeff_bound, signs=certs._signs_from_str(args.signs),
     )
     outcome = solve(inst)
     if isinstance(outcome, Exhausted):
         return certs.exhausted_certificate(inst)
-    return (certs.signed_certificate if signed else certs.solution_certificate)(inst, outcome)
+    return (certs.signed_certificate if inst.signed else certs.solution_certificate)(inst, outcome)
 
 
 def _load(path: str):
@@ -206,7 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pool-idx", type=int, default=2)
         return p
 
-    search("ore-search", "search for (1+a)u = (1+b)v in Z+[M]", 3, 3)
+    search("ore-search", "search for (1+a)u = (1+b)v in Z+[M]", 3, 3).set_defaults(
+        coeff_bound=None, signs="++")
     p = search("ore-signed", "search for (1+-a)u = (1+-b)v in Z[M]", 2, 2)
     p.add_argument("--coeff-bound", type=int, default=1)
     p.add_argument("--signs", default="++")
@@ -234,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check a certificate document")
     p.set_defaults(run=_verify)
-    p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("certificate")
 
     return parser

@@ -1,6 +1,5 @@
 """Monoid and group backends sharing one element-arithmetic contract."""
 
-from ..words import shift_word
 from .abelian import ZmBackend
 from .base import Backend
 from .metabelian import FlowElement, MbBackend, boundary_defect
@@ -46,7 +45,6 @@ __all__ = [
     "boundary_defect",
     "make_backend",
     "pos_normalize",
-    "shift_word",
     "tree_from_str",
     "tree_leaves",
     "verify_trace",

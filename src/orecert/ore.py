@@ -60,6 +60,9 @@ from .words import Generator, Word
 
 @dataclass(frozen=True)
 class OreInstance:
+    """Bounds of a search for (1 + sa*a) u = (1 + sb*b) v.  The coefficient
+    bound c alone picks the ring: Z[M] with c, else Z+[M] with signs ++."""
+
     backend: Backend
     a: object
     b: object
@@ -67,9 +70,12 @@ class OreInstance:
     pool: tuple
     pool_length: int | None = None
     pool_max_index: int | None = None
-    signed: bool = False
     coeff_bound: int | None = None
     signs: tuple[int, int] = (1, 1)
+
+    @property
+    def signed(self) -> bool:
+        return self.coeff_bound is not None
 
     def bounds(self) -> dict:
         return {
@@ -105,16 +111,22 @@ def enumerate_pool(backend: Backend, length: int, max_index: int | None = None) 
 
 
 def make_instance(backend, a, b, max_support, pool_length, pool_max_index=None,
-                  signed=False, coeff_bound=None, signs=(1, 1)) -> OreInstance:
+                  coeff_bound=None, signs=(1, 1)) -> OreInstance:
+    """The instance over the ball of radius ``pool_length``, in Z[M] when
+    ``coeff_bound`` is set.  Signs are +/-1, and (1, 1) unless it is set."""
     if max_support < 0:
         raise ValueError("max support n must be nonnegative")
-    if signed and (coeff_bound is None or coeff_bound < 1):
+    if coeff_bound is not None and coeff_bound < 1:
         raise ValueError("coefficient bound c must be at least 1")
+    if any(s not in (1, -1) for s in signs):
+        raise ValueError(f"signs must be +1 or -1, got {signs!r}")
+    if coeff_bound is None and tuple(signs) != (1, 1):
+        raise ValueError("signs other than ++ need a coefficient bound c")
     pool = enumerate_pool(backend, pool_length, pool_max_index)
     return OreInstance(
         backend, a, b, max_support, tuple(pool),
         pool_length=pool_length, pool_max_index=pool_max_index,
-        signed=signed, coeff_bound=coeff_bound, signs=signs,
+        coeff_bound=coeff_bound, signs=signs,
     )
 
 
@@ -170,32 +182,20 @@ def verify_solution(backend, a, b, U, V) -> Solution:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_order(bound: int) -> list:
-    return [s * m for m in range(1, bound + 1) for s in (1, -1)]
-
-
 class _Tables:
-    """Pool images under a and b, built once per search.
-
-    Side 0 is u, side 1 is v.  ``images[side][i]`` holds g = pool[i] and
-    a*g (side 0) or b*g (side 1); ``cover[side][k]`` lists, in pool order,
-    the i whose images include k.  ``steps[side]`` lists (lam, d1, d2) in
-    ``coeffs`` order: adding lam*g to u adds lam to the deficit D at g and
-    sa*lam at a*g, adding lam*h to v subtracts lam at h and sb*lam at b*h.
-    Every element is replaced by its rank in sorted order, so the DFS
-    compares and hashes small ints; rank order is element order, so
-    ``min(D)`` picks the same element as it would on the elements
-    themselves.
+    """The graph Gamma_E of the pool E, built once per search; it holds no
+    ring data.  Its vertices are E, aE and bE, each element replaced by its
+    rank in sorted order, so the DFS compares and hashes small ints and
+    ``min(D)`` picks the same element as on the elements themselves.  Side
+    0 is u, side 1 is v: ``images[side][i]`` holds the ends of the edge of
+    g = pool[i], the ranks of g and a*g (side 0) or b*g (side 1), and
+    ``cover[side][k]`` lists, in pool order, the i whose edge meets k.
     """
 
-    def __init__(self, inst: OreInstance, coeffs):
+    def __init__(self, inst: OreInstance):
         backend = inst.backend
-        self.pool = list(inst.pool)
-        triples = [(g, backend.multiply(inst.a, g), backend.multiply(inst.b, g)) for g in self.pool]
+        triples = [(g, backend.multiply(inst.a, g), backend.multiply(inst.b, g)) for g in inst.pool]
         rank = {x: r for r, x in enumerate(sorted({x for xs in triples for x in xs}))}
-        sa, sb = inst.signs
-        self.steps = ([(lam, lam, sa * lam) for lam in coeffs],
-                      [(lam, -lam, -sb * lam) for lam in coeffs])
         images_a, images_b = self.images = ([], [])
         cover_u, cover_v = self.cover = ({}, {})
         for i, (kg, kag, kbg) in enumerate(triples):
@@ -222,22 +222,25 @@ def _shift(D: dict, k1, d1: int, k2, d2: int) -> None:
         del D[k2]
 
 
-def _search(inst: OreInstance, coeffs, seeds, distinct: bool, movers):
+def _search(inst: OreInstance):
     """First solution in seed-then-depth-first order, as the (coefficient,
     element) terms of u and v, or an Exhausted report.
 
-    The DFS backtracks on the deficit D = (1 + sa*a) u - (1 + sb*b) v.  Some
-    element still to be added must cover the least key kappa of D, so the
-    DFS adds only elements whose images include kappa, on the sides that
+    The ring shapes the search here alone.  The DFS backtracks on the
+    deficit D = (1 + sa*a) u - (1 + sb*b) v: lam*g in u adds lam at g and
+    sa*lam at a*g, lam*h in v subtracts lam at h and sb*lam at b*h, with
+    lam = 1 in Z+[M] and lam = 1, -1, .., c, -c in Z[M].  An element still
+    to be added must cover the least key kappa of D, so the DFS adds only
+    elements whose images include kappa, on the sides that
     ``movers[D[kappa] > 0]`` lists.  In Z+[M] that is the short side alone
     (u where D[kappa] < 0, v where it is > 0), and by left cancellativity
     at most two pool elements per side cover a key, so the branching factor
     is tiny.  In Z[M] either side may cover kappa.  So a DFS reaches every
     solution that extends its partial (u, v).  Each side holds at most
-    ``max_support`` elements; with ``distinct`` an element is added to a
-    side at most once (Z[M] supports are sets, Z+[M] ones multisets).
-    Candidates are tried in pool order and, per element, in ``coeffs``
-    order, so the result is deterministic.
+    ``max_support`` elements, and in Z[M] an element is added to a side at
+    most once (its supports are sets, those of Z+[M] multisets).
+    Candidates are tried in pool order and, per element, in lam order, so
+    the result is deterministic.
 
     Canonical seeding: ``seeds`` lists (side, pool index, floors) in seed
     order; each seed starts a DFS with each of its positive coefficients,
@@ -263,12 +266,22 @@ def _search(inst: OreInstance, coeffs, seeds, distinct: bool, movers):
     so the DFS from s* meets the same first solution, and the seeds before
     s* still find nothing.
     """
-    t = _Tables(inst, coeffs)
-    n = inst.max_support
+    n, size, distinct = inst.max_support, len(inst.pool), inst.signed
+    if distinct:
+        coeffs = [s * m for m in range(1, inst.coeff_bound + 1) for s in (1, -1)]
+        seeds = ((side, s, (size, s) if side else (s, 0)) for side in (0, 1) for s in range(size))
+        movers = ((0, 1), (0, 1))  # either side can cover kappa
+    else:
+        coeffs = [1]
+        seeds = ((0, s, (s, 0)) for s in range(size))
+        movers = ((0,), (1,))  # only the short side: u where D[kappa] < 0
+    sa, sb = inst.signs
+    steps = ([(lam, lam, sa * lam) for lam in coeffs], [(lam, -lam, -sb * lam) for lam in coeffs])
+    t = _Tables(inst)
     # per side: the pool indices added, the (coefficient, element) terms of
-    # a solution (gathered as the DFS unwinds), its tables, and the floor of
-    # the current seed
-    sides = [[[], [], t.cover[side], t.images[side], t.steps[side], 0] for side in (0, 1)]
+    # a solution (gathered as the DFS unwinds), its tables, its (lam, d1, d2)
+    # steps, and the floor of the current seed
+    sides = [[[], [], t.cover[side], t.images[side], steps[side], 0] for side in (0, 1)]
     # movers with each side number replaced by that side's entry
     plan = [[sides[side] for side in allowed] for allowed in movers]
     nodes = 0
@@ -291,7 +304,7 @@ def _search(inst: OreInstance, coeffs, seeds, distinct: bool, movers):
                     E = D.copy()
                     _shift(E, j1, d1, j2, d2)
                     if dfs(E):
-                        terms.append((lam, t.pool[gi]))
+                        terms.append((lam, inst.pool[gi]))
                         return True
                 members.pop()
         return False
@@ -308,7 +321,7 @@ def _search(inst: OreInstance, coeffs, seeds, distinct: bool, movers):
                 _shift(D, j1, d1, j2, d2)
                 hit = dfs(D)
                 if hit:
-                    terms.append((lam, t.pool[i]))
+                    terms.append((lam, inst.pool[i]))
                     break
         members.pop()
         if hit:
@@ -317,7 +330,7 @@ def _search(inst: OreInstance, coeffs, seeds, distinct: bool, movers):
     # return instead of at the next cyclic garbage collection.
     del dfs
     if not hit:
-        return Exhausted(inst.bounds(), len(t.pool), nodes)
+        return Exhausted(inst.bounds(), size, nodes)
     return sides[0][1], sides[1][1]
 
 
@@ -328,9 +341,7 @@ def search_common_multiple(inst: OreInstance, jobs: int = 1):
     compatibility and changes nothing."""
     if inst.signed:
         raise ModeMismatchError("use search_signed for signed instances")
-    seeds = ((0, s, (s, 0)) for s in range(len(inst.pool)))
-    # only the short side can cover kappa: u where D[kappa] < 0, v where > 0
-    found = _search(inst, (1,), seeds, False, ((0,), (1,)))
+    found = _search(inst)
     if isinstance(found, Exhausted):
         return found
     U, V = ([g for _, g in terms] for terms in found)
@@ -364,12 +375,9 @@ def search_signed(inst: OreInstance, jobs: int = 1):
     [-c, c] without zero, at most ``max_support`` support elements per
     side, u = v = 0 excluded.  The search runs serially; ``jobs`` is
     accepted for compatibility and changes nothing."""
-    if not inst.signed or not inst.coeff_bound:
-        raise ModeMismatchError("signed search needs signed mode and a coefficient bound")
-    size = len(inst.pool)
-    seeds = ((side, s, (size, s) if side else (s, 0)) for side in (0, 1) for s in range(size))
-    # either side can cover kappa, whatever the sign of D[kappa]
-    found = _search(inst, _coeff_order(inst.coeff_bound), seeds, True, ((0, 1), (0, 1)))
+    if not inst.signed:
+        raise ModeMismatchError("signed search needs a coefficient bound")
+    found = _search(inst)
     if isinstance(found, Exhausted):
         return found
     sol = expand_signed(inst.backend, inst.a, inst.b, inst.signs, *found)

@@ -42,8 +42,6 @@ class Generator:
 Letter = tuple[Generator, int]
 Word = tuple[Letter, ...]
 
-EMPTY_WORD: Word = ()
-
 _NAMED_POOL = "abcdefghijklmnopqrstuvw"  # 'x' reserved for the indexed family
 
 

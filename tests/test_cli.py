@@ -436,6 +436,29 @@ def test_coefficient_bound_below_one_is_a_usage_error(tmp_path):
     )
 
 
+def test_verify_reads_mode_signs_and_c_as_one_ring(tmp_path):
+    # c alone picks the ring, so an edited c must contradict mode or signs
+    cases = [
+        (("ore-search", *ZM2_AB, "--max-support", "2", "--pool-len", "1"), 7),
+        (("ore-search", "--backend", "posmon", "--a", "x0", "--b", "x1",
+          "--max-support", "2", "--pool-len", "2"), 3),
+        (("ore-signed", *ZM2_AB, "--max-support", "2", "--pool-len", "1", "--signs=mm"), None),
+        (("ore-signed", *ZM2_AB, "--max-support", "1", "--pool-len", "1"), None),
+    ]
+    for argv, c in cases:
+        doc = json.loads(run(*argv, "--format", "json")[1])
+        assert _verify_doc(tmp_path, doc)[:2] == (0, "verified: ok\n")
+        doc["bounds"]["c"] = c
+        code, out, _ = _verify_doc(tmp_path, doc)
+        assert code == 1 and out.startswith("verification failed: "), (argv, out)
+
+
+def test_verify_takes_no_format(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_signed_zm2_doc()))
+    assert run("verify", "--format", "json", str(path))[0] == 2
+
+
 def test_folner_without_generators_is_a_usage_error(tmp_path):
     assert run("folner", "--backend", "posmon", "--epsilon", "1/2", "--budget", "5",
                "--pool-idx", "-1") == (2, "", "error: at least one generator is needed\n")

@@ -281,7 +281,7 @@ def test_mb_relation_roundtrip():
 def test_signed_commutative_solution():
     inst = make_instance(
         ZM, ZM.from_text("a"), ZM.from_text("b"), 2, 1,
-        signed=True, coeff_bound=1, signs=(-1, -1),
+        coeff_bound=1, signs=(-1, -1),
     )
     out = search_signed(inst)
     assert isinstance(out, SignedSolution)
@@ -292,16 +292,27 @@ def test_signed_commutative_solution():
 
 def test_signed_equal_factors():
     a = ZM.from_text("a")
-    inst = make_instance(ZM, a, a, 1, 1, signed=True, coeff_bound=1, signs=(1, 1))
+    inst = make_instance(ZM, a, a, 1, 1, coeff_bound=1, signs=(1, 1))
     out = search_signed(inst)
     assert isinstance(out, SignedSolution)
     assert len(out.u) == len(out.v) == 1
 
 
+def test_coefficient_bound_alone_picks_the_ring():
+    a, b = ZM.from_text("a"), ZM.from_text("b")
+    assert not make_instance(ZM, a, b, 2, 1).signed
+    assert make_instance(ZM, a, b, 2, 1, coeff_bound=1).signed
+    # Z+[M] has no signs to choose, and a sign is +1 or -1
+    with pytest.raises(ValueError, match="need a coefficient bound"):
+        make_instance(ZM, a, b, 2, 1, signs=(-1, -1))
+    with pytest.raises(ValueError, match="must be \\+1 or -1"):
+        make_instance(ZM, a, b, 2, 1, coeff_bound=1, signs=(2, 1))
+
+
 def test_signed_posmon_bounded_outcome():
     inst = make_instance(
         PM, PM.from_text("x0"), PM.from_text("x1"), 2, 2, 3,
-        signed=True, coeff_bound=2, signs=(-1, -1),
+        coeff_bound=2, signs=(-1, -1),
     )
     out = search_signed(inst)
     assert isinstance(out, (SignedSolution, Exhausted))

@@ -86,7 +86,7 @@ def test_unsigned_matches_reference(spec):
 @pytest.mark.parametrize("spec", SIGNED, ids=lambda s: " ".join(map(str, s)))
 def test_signed_matches_reference(spec):
     *slice_, signs, c = spec
-    inst = _instance(*slice_, signed=True, coeff_bound=c, signs=signs)
+    inst = _instance(*slice_, coeff_bound=c, signs=signs)
     _agree(inst, search_signed(inst), reference_signed(inst))
 
 
@@ -95,7 +95,7 @@ def test_grid_finds_solutions_and_exhaustions():
     kinds = {type(reference_common_multiple(_instance(*s))).__name__ for s in UNSIGNED}
     assert kinds == {"Solution", "Exhausted"}
     signed = {
-        type(reference_signed(_instance(*s[:6], signed=True, coeff_bound=s[7], signs=s[6]))).__name__
+        type(reference_signed(_instance(*s[:6], coeff_bound=s[7], signs=s[6]))).__name__
         for s in SIGNED
     }
     assert signed == {"SignedSolution", "Exhausted"}
@@ -113,5 +113,5 @@ def test_pruned_node_counts():
         ("zm:2", "a", "b^2", 2, 1, None, (1, -1), 2): 156,
     }
     for (*spec, signs, c), nodes in signed.items():
-        inst = _instance(*spec, signed=True, coeff_bound=c, signs=signs)
+        inst = _instance(*spec, coeff_bound=c, signs=signs)
         assert search_signed(inst).nodes == nodes

@@ -111,7 +111,7 @@ def test_solve_matches_reference_unsigned(spec):
 @pytest.mark.parametrize("spec", SIGNED, ids=lambda s: " ".join(map(str, s)))
 def test_solve_matches_reference_signed(spec):
     *slice_, signs, c = spec
-    inst = _instance(*slice_, signed=True, coeff_bound=c, signs=signs)
+    inst = _instance(*slice_, coeff_bound=c, signs=signs)
     assert _certificate(inst, solve(inst)) == _certificate(inst, reference_signed(inst))
 
 
