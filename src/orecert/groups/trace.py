@@ -17,16 +17,23 @@ cyclic word:
    of x_0^-1 v x_0, with v free of x_0, to the front and replace it by v
    with all subscripts raised by one; conjugation by x_0 raises subscripts,
    so the replaced word equals the rotated one in F.  The step records the
-   rotated-out prefix s and is verified as s^-1 w s = w' by the tree-pair
-   backend.  The word lost two letters; repeat.
+   rotated-out prefix s, and the word lost two letters; repeat.
 
 Every alternating word terminates in a witness step, so the verdict is
 always ``nontrivial``.  ``alt_trace`` checks each step's fact in F with
-the tree-pair backend as it takes the step: identity status for a shift,
-s^-1 w s = w' for a conjugation.  ``verify_trace`` re-derives: it accepts
-exactly the trace ``alt_trace`` derives for the trace's word.  A failed
-check or a violated internal invariant raises VerificationError and means
-the implementation is wrong, not the input.
+the tree-pair backend as it takes the step.  A shift must keep identity
+status.  A conjugation w -> w' is checked locally.  Rotating w by the
+prefix s is conjugation by s, so s^-1 w s freely reduces to the rotated
+word; ``alt_trace`` asserts that it reads x_0^-1 v x_0 t with v
+free of x_0, and w' is shift(v, 1) t by construction.  What is left is
+the group fact x_0^-1 v x_0 = shift(v, 1), which follows from F's
+relations x_0^-1 x_i x_0 = x_{i+1} (i >= 1; Cannon, Floyd and Parry,
+Enseign. Math. 42, 1996); it is checked in F on those |v| + 2 letters
+only, not on the whole word.  Together these give s^-1 w s = w'.
+``verify_trace`` re-derives: it accepts exactly the trace ``alt_trace``
+derives for the trace's word.  A failed check or a violated internal
+invariant raises VerificationError and means the implementation is
+wrong, not the input.
 """
 
 from __future__ import annotations
@@ -39,13 +46,15 @@ from ..words import (
     Word,
     concat,
     cyclic_shift,
-    exponent_sums,
-    invert_word,
     is_alternating,
     print_word,
     shift_word,
 )
 from .thompson import FBackend
+
+
+_X0 = (Generator("x", 0), 1)
+_X0_INV = (Generator("x", 0), -1)
 
 
 @dataclass(frozen=True)
@@ -70,8 +79,7 @@ class AltTrace:
 def _min_subscript_witness(w: Word) -> tuple[int, int]:
     """(alpha, exponent sum of x_alpha) for the minimal subscript alpha."""
     alpha = min(g.index for g, _ in w)
-    sums = exponent_sums(w)
-    return alpha, sums.get(Generator("x", alpha), 0)
+    return alpha, sum(e for g, e in w if g.index == alpha)
 
 
 def _leftmost_conjugation_site(w: Word) -> tuple[int, int]:
@@ -130,11 +138,13 @@ def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
         prefix = current[:p]
         v = rotated[1:gap]
         tail = rotated[gap + 1 :]
-        if not v or any(g.index == 0 for g, _ in v):
+        site_ends = (rotated[0], rotated[gap])
+        if site_ends != (_X0_INV, _X0) or not v or any(g.index == 0 for g, _ in v):
             raise VerificationError("malformed conjugation site")
-        replaced = concat(shift_word(v, 1), tail)
-        if fb.from_word(concat(invert_word(prefix), current, prefix)) != fb.from_word(replaced):
+        raised = shift_word(v, 1)
+        if fb.from_word((_X0_INV,) + v + (_X0,)) != fb.from_word(raised):
             raise VerificationError(unconfirmed)
+        replaced = concat(raised, tail)
         steps.append(
             TraceStep(
                 "conjugate_x0",

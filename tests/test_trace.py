@@ -185,3 +185,28 @@ def test_shift_that_changes_identity_status_raises():
     with pytest.raises(VerificationError, match="not confirmed by the tree-pair backend"):
         alt_trace(w, ShiftBlindBackend())
     assert verify_trace(alt_trace(w, FB), ShiftBlindBackend()) is False
+
+
+class SwappedBackend(FBackend):
+    """Evaluates x2 as x3 and x3 as x2, which breaks x0^-1 x1 x0 = x2."""
+
+    def generator_element(self, gen):
+        return super().generator_element(Generator("x", {2: 3, 3: 2}.get(gen.index, gen.index)))
+
+
+def test_local_conjugation_check_catches_a_wrong_relation():
+    w = tw("x0 x1 x0^-1 x1^-1")
+    conj = alt_trace(w, FB).steps[0]
+    assert conj.rule == "conjugate_x0" and print_word(conj.output_word) == "x2^-1 x1"
+    with pytest.raises(VerificationError, match="not confirmed by the tree-pair backend"):
+        alt_trace(w, SwappedBackend())
+    assert verify_trace(alt_trace(w, FB), SwappedBackend()) is False
+
+
+def test_conjugation_site_must_read_x0_inverse_v_x0(monkeypatch):
+    # A site at rotation 0 reads x0 x1 x0^-1, not x0^-1 v x0.  Its v = x1
+    # would pass the F check x0^-1 x1 x0 = x2, so only the check on the
+    # site's end letters rejects it.
+    monkeypatch.setattr("orecert.groups.trace._leftmost_conjugation_site", lambda w: (0, 2))
+    with pytest.raises(VerificationError, match="malformed conjugation site"):
+        alt_trace(tw("x0 x1 x0^-1 x1^-1"), FB)
