@@ -13,7 +13,6 @@ byte-identical output is a function of content only.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 from .errors import NotEmbeddableError, OrecertError, VerificationError
@@ -69,7 +68,7 @@ def _instance_doc(inst: OreInstance) -> dict:
         "bounds": inst.bounds(),
         "mode": "signed" if inst.signed else "unsigned",
         "signs": _signs_str(inst.signs) if inst.signed else None,
-        "pool_size": len(inst.pool),
+        "pool_size": inst.pool_size,
     }
 
 
@@ -134,14 +133,15 @@ def rel2sol_certificate(backend, a, b, text: str, length: int, max_index) -> dic
     pool element embeds its vertices, on a group the walk, translated so
     that its least vertex is the identity, leaves the pool."""
     word = parse_word(text, LABEL_ALPHABET)
-    inst = make_instance(backend, a, b, 0, length, max_index)
+    # a relation of length 2m walks into a solution of mass m
+    inst = make_instance(backend, a, b, len(word) // 2, length, max_index)
     try:
         sol = relation_to_solution(backend, a, b, word, pool=inst.pool)
     except NotEmbeddableError:
         reason = "vertices not embeddable in monoid"
     else:
         if not _outside_pool(inst, sol.U + sol.V):
-            return solution_certificate(replace(inst, max_support=len(sol.U)), sol)
+            return solution_certificate(inst, sol)
         reason = f"solution leaves the pool of L = {length}, K = {max_index}"
     return {
         "kind": "rel2sol-failure",
@@ -157,21 +157,28 @@ def rel2sol_certificate(backend, a, b, text: str, length: int, max_index) -> dic
 
 def trace_certificate(word) -> dict:
     trace = alt_trace(word)
-    steps = [
-        {
+    # A step's input is the word the step before put out (the first step's
+    # is the trace's word), and a witness step puts out its input, so each
+    # word is printed once.
+    word_text = output = print_word(trace.word)
+    last = trace.word
+    steps = []
+    for s in trace.steps:
+        before = output if s.input_word is last else print_word(s.input_word)
+        output = before if s.output_word is s.input_word else print_word(s.output_word)
+        last = s.output_word
+        steps.append({
             "rule": s.rule,
-            "input": print_word(s.input_word),
-            "output": print_word(s.output_word),
+            "input": before,
+            "output": output,
             "alpha": s.alpha,
             "rotation": s.rotation,
             "conjugator": None if s.conjugator is None else print_word(s.conjugator),
             "witness": s.witness,
-        }
-        for s in trace.steps
-    ]
+        })
     return {
         "kind": "trace",
-        "word": print_word(trace.word),
+        "word": word_text,
         "steps": steps,
         "verdict": trace.verdict,
         "witness": trace.witness,

@@ -93,6 +93,12 @@ class Backend:
         gens = [self.alphabet.generator(i) for i in range(count)]
         return [(str(g), self.generator_element(g)) for g in gens]
 
+    def ball_size(self, length: int, max_index: int | None = None) -> int | None:
+        """Number of elements of the ball ``ore.enumerate_pool`` builds for
+        these bounds, counted without building it, or None when the backend
+        has no count."""
+        return None
+
     # -- group envelope -----------------------------------------------------
 
     def envelope(self) -> "Backend":

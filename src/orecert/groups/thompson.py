@@ -197,6 +197,69 @@ def pos_normalize(w: Word) -> NormalForm:
     return nf
 
 
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    """Product of two coefficient lists of equal length, truncated to it."""
+    out = [0] * len(p)
+    for i, c in enumerate(p):
+        if c:
+            for j, d in enumerate(q[: len(p) - i]):
+                out[i + j] += c * d
+    return out
+
+
+def posmon_ball_size(length: int, max_index: int | None) -> int:
+    """Number of positive elements of F with a word of at most ``length``
+    letters over x0 .. x_K, K = ``max_index`` (1 when it is None), K >= 0.
+
+    A positive element is a forest diagram (Belk and Brown, "Forest
+    diagrams for elements of Thompson's group F", IJAC 15, 2005): binary
+    trees hanging from roots 0, 1, 2, ..., all but finitely many a bare
+    leaf, distinct forests for distinct elements.  Right-multiplying by x_q
+    joins the trees at roots q and q+1 under a new caret at root q and
+    moves every later tree one root to the left, so each letter adds one
+    caret and every word of an element has as many letters as it has
+    carets.  For a caret v let r(v) be the root of its tree and s(v) the
+    number of right steps from that root down to v.  The element has a word
+    over x0 .. x_K exactly when r(v) + s(v) <= K for every caret v:
+
+    - each letter keeps the condition: the new caret has r + s = q <= K,
+      the carets of the right tree trade one root for one right step, and
+      no other caret's r + s grows;
+    - conversely, the root caret of the rightmost nontrivial tree, at root
+      q, has r + s = q <= K, and splitting it off gives a forest that
+      keeps the condition (only trivial trees move right), has one caret
+      less and gives the element back when multiplied by x_q.
+
+    So the tree at root r is one whose carets all have s <= K - r, and
+    there is none past root K.  Let t(n, d) count the trees with n carets
+    and all s <= d: t(0, d) = 1, t(n, -1) = 0 for n >= 1, and
+    t(n, d) = sum over i + j = n - 1 of t(i, d) t(j, d - 1), the left
+    subtree keeping the bound and the right one losing a step.  With
+    G_d(z) = sum over n of t(n, d) z^n, the ball has
+    sum over k <= L of [z^k] prod over r = 0 .. K of G_(K-r)(z) elements.
+    No tree with n <= L carets has s >= L, so every G_d with d >= L agrees
+    with G_L up to z^L, and the product takes their power by squaring.
+    """
+    K = 1 if max_index is None else max_index
+    top = min(K, length)
+    rows = [[1] + [0] * length]  # t(., d) for d = -1, 0, .., top
+    for _ in range(top + 1):
+        below, row = rows[-1], [1]
+        for n in range(1, length + 1):
+            row.append(sum(row[i] * below[n - 1 - i] for i in range(n)))
+        rows.append(row)
+    total = [1] + [0] * length
+    for row in rows[1:]:
+        total = _poly_mul(total, row)
+    power, extra = rows[-1], K - top  # the factors G_d with top < d <= K
+    while extra:
+        if extra & 1:
+            total = _poly_mul(total, power)
+        power = _poly_mul(power, power)
+        extra >>= 1
+    return sum(total)
+
+
 class PosMonoidBackend(Backend):
     is_group = False
 
@@ -235,6 +298,9 @@ class PosMonoidBackend(Backend):
         if s == "1":
             return ()
         return self.from_word(self.parse(s))
+
+    def ball_size(self, length: int, max_index: int | None = None) -> int:
+        return posmon_ball_size(length, max_index)
 
     def envelope(self) -> FBackend:
         return self._envelope

@@ -25,12 +25,20 @@ of mass m spells alternating relations of length at most 2m, so when
 length <= 2n, no pool holds a solution of mass <= n.  ``solve``, the entry
 point of the CLI and of ``verify``, runs that meet-in-the-middle check
 before an unsigned DFS and reports the exhaustion without building the
-search tables when it proves this.
+search tables when it proves this.  That report needs only the pool's
+size, and an instance enumerates its pool only when something reads the
+elements.  On the positive monoid the size is counted: an element is a
+forest diagram, it has a word over x0 .. x_K exactly when every caret's
+root index plus its right steps from that root is at most K, and the
+balls are counted by the generating functions of such trees
+(``thompson.posmon_ball_size``).  So a posmon exhaustion that the check
+proves builds no pool at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -61,14 +69,17 @@ from .words import Generator, Word
 @dataclass(frozen=True)
 class OreInstance:
     """Bounds of a search for (1 + sa*a) u = (1 + sb*b) v.  The coefficient
-    bound c alone picks the ring: Z[M] with c, else Z+[M] with signs ++."""
+    bound c alone picks the ring: Z[M] with c, else Z+[M] with signs ++.
+
+    The pool, the ball of radius L over the generators, is enumerated when
+    something first reads its elements; ``pool_size`` is counted without it
+    where the backend can count (``Backend.ball_size``)."""
 
     backend: Backend
     a: object
     b: object
     max_support: int
-    pool: tuple
-    pool_length: int | None = None
+    pool_length: int
     pool_max_index: int | None = None
     coeff_bound: int | None = None
     signs: tuple[int, int] = (1, 1)
@@ -76,6 +87,15 @@ class OreInstance:
     @property
     def signed(self) -> bool:
         return self.coeff_bound is not None
+
+    @cached_property
+    def pool(self) -> tuple:
+        return tuple(enumerate_pool(self.backend, self.pool_length, self.pool_max_index))
+
+    @cached_property
+    def pool_size(self) -> int:
+        size = self.backend.ball_size(self.pool_length, self.pool_max_index)
+        return len(self.pool) if size is None else size
 
     def bounds(self) -> dict:
         return {
@@ -86,13 +106,20 @@ class OreInstance:
         }
 
 
+def _check_pool_bounds(backend: Backend, length: int, max_index: int | None) -> None:
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    if backend.alphabet.kind == "indexed" and max_index is not None and max_index < 0:
+        raise ValueError("at least one generator is needed")
+
+
 def enumerate_pool(backend: Backend, length: int, max_index: int | None = None) -> list:
     """Ball of radius ``length`` over the generating set, sorted.
 
     Group backends include inverse letters.  The identity is always present.
+    Where the backend counts its balls, the count must match the ball.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    _check_pool_bounds(backend, length, max_index)
     letters = [g for _, g in backend.generators(max_index)]
     if backend.is_group:
         letters += [backend.inverse(g) for g in letters]
@@ -107,13 +134,19 @@ def enumerate_pool(backend: Backend, length: int, max_index: int | None = None) 
                     seen.add(y)
                     grown.append(y)
         frontier = grown
+    counted = backend.ball_size(length, max_index)
+    if counted is not None and counted != len(seen):
+        raise VerificationError(
+            f"the ball of L = {length}, K = {max_index} has {len(seen)} elements, "
+            f"its count says {counted}")
     return sorted(seen)
 
 
 def make_instance(backend, a, b, max_support, pool_length, pool_max_index=None,
                   coeff_bound=None, signs=(1, 1)) -> OreInstance:
     """The instance over the ball of radius ``pool_length``, in Z[M] when
-    ``coeff_bound`` is set.  Signs are +/-1, and (1, 1) unless it is set."""
+    ``coeff_bound`` is set.  Signs are +/-1, and (1, 1) unless it is set.
+    The bounds are checked here; the pool is left to its first reader."""
     if max_support < 0:
         raise ValueError("max support n must be nonnegative")
     if coeff_bound is not None and coeff_bound < 1:
@@ -122,9 +155,9 @@ def make_instance(backend, a, b, max_support, pool_length, pool_max_index=None,
         raise ValueError(f"signs must be +1 or -1, got {signs!r}")
     if coeff_bound is None and tuple(signs) != (1, 1):
         raise ValueError("signs other than ++ need a coefficient bound c")
-    pool = enumerate_pool(backend, pool_length, pool_max_index)
+    _check_pool_bounds(backend, pool_length, pool_max_index)
     return OreInstance(
-        backend, a, b, max_support, tuple(pool),
+        backend, a, b, max_support,
         pool_length=pool_length, pool_max_index=pool_max_index,
         coeff_bound=coeff_bound, signs=signs,
     )
@@ -330,7 +363,7 @@ def _search(inst: OreInstance):
     # return instead of at the next cyclic garbage collection.
     del dfs
     if not hit:
-        return Exhausted(inst.bounds(), size, nodes)
+        return Exhausted(inst.bounds(), inst.pool_size, nodes)
     return sides[0][1], sides[1][1]
 
 
@@ -460,9 +493,9 @@ def solve(inst: OreInstance):
     if inst.signed:
         return search_signed(inst)
     check = alternating_relation_length(
-        inst.backend, inst.a, inst.b, inst.max_support, 2 * len(inst.pool))
+        inst.backend, inst.a, inst.b, inst.max_support, 2 * inst.pool_size)
     if check.decided and check.length is None:
-        return Exhausted(inst.bounds(), len(inst.pool), 0)
+        return Exhausted(inst.bounds(), inst.pool_size, 0)
     return search_common_multiple(inst)
 
 
