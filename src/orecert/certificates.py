@@ -124,7 +124,11 @@ def relations_certificate(inst: OreInstance, sol: Solution) -> dict:
 
 
 def _outside_pool(inst: OreInstance, elements) -> bool:
-    return not set(inst.pool).issuperset(elements)
+    # Where the backend decides ball membership per element, no pool is built.
+    inside = {inst.backend.in_ball(x, inst.pool_length, inst.pool_max_index) for x in elements}
+    if None in inside:
+        return not set(inst.pool).issuperset(elements)
+    return False in inside
 
 
 def rel2sol_certificate(backend, a, b, text: str, length: int, max_index) -> dict:

@@ -30,13 +30,7 @@ class Backend:
         raise NotImplementedError
 
     def from_word(self, w: Word):
-        # Neighbours multiply pairwise, level by level, so the operands of a
-        # product grow with its level rather than with its place in the word.
-        xs = [self.letter_element(letter) for letter in w] or [self.identity]
-        while len(xs) > 1:
-            pairs = [self.multiply(x, y) for x, y in zip(xs[::2], xs[1::2])]
-            xs = pairs + xs[-1:] if len(xs) % 2 else pairs
-        return xs[0]
+        raise NotImplementedError
 
     def letter_element(self, letter):
         gen, exp = letter
@@ -64,9 +58,6 @@ class Backend:
 
     def is_identity(self, x) -> bool:
         return x == self.identity
-
-    def equals(self, x, y) -> bool:
-        return x == y
 
     def canonical_key(self, x):
         """The element itself: elements are their own keys."""
@@ -97,6 +88,11 @@ class Backend:
         """Number of elements of the ball ``ore.enumerate_pool`` builds for
         these bounds, counted without building it, or None when the backend
         has no count."""
+        return None
+
+    def in_ball(self, x, length: int, max_index: int | None = None) -> bool | None:
+        """Whether ``x`` lies in that ball, decided without building it, or
+        None when the backend cannot decide it."""
         return None
 
     # -- group envelope -----------------------------------------------------

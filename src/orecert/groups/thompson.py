@@ -10,12 +10,19 @@ equality is string equality, and the pair is its own canonical key: since
 the strings are prefix-free, pairs sort as their text ``domain/range``
 does.
 
-Multiplication stacks the two diagrams: the left factor's range tree and
-the right factor's domain tree are refined to their common refinement and
-the matching carets are copied onto the outer trees.  With the generator
-pairs below this satisfies x_j x_i = x_i x_{j+1} for i < j, which is the
-defining relation family of F and of its positive monoid.  No helper
-recurses, so trees of any depth are fine.
+A general product stacks the two diagrams: the left factor's range tree
+and the right factor's domain tree are refined to their common refinement
+and the matching carets are copied onto the outer trees.  With the
+generator pairs below this satisfies x_j x_i = x_i x_{j+1} for i < j, which
+is the defining relation family of F and of its positive monoid.  A product
+with one generator letter is a local edit instead (``_times_letter``):
+right-multiplying by x_k^{+-1} only splits or joins two trees of the range
+forest, the subtrees hanging off the range tree's right spine (Belk and
+Brown, "Forest diagrams for elements of Thompson's group F", IJAC 15,
+2005), so it rotates one caret of the range tree and contracts the few
+carets that the rotation leaves common to both trees.  ``from_word``
+folds blocks of 32 letters that way and multiplies the block results
+pairwise.  No helper recurses, so trees of any depth are fine.
 
 The positive monoid backend keeps elements in rewriting normal form: the
 rule x_j x_i -> x_i x_{j+1} (i < j) is terminating and confluent on
@@ -25,6 +32,7 @@ index sequences.
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import add
 from typing import NamedTuple
 
@@ -131,6 +139,119 @@ def _reduced(domain: str, rng: str) -> TreePair:
         rng = _contract(rng_pieces, rng_at, common)
 
 
+def _leaf_at(t: str, m: int) -> int:
+    """Position of leaf ``m`` (counted from 0) of ``t``."""
+    # Start each window at the next leaf; ``need`` leaves take at least
+    # ``need`` characters, so a window that holds them all ends with the
+    # one sought.
+    i, need = 0, m + 1
+    while True:
+        i = t.find("L", i)
+        j = i + need
+        found = t.count("L", i, j)
+        if found == need:
+            return t.rfind("L", i, j)
+        need -= found
+        i = j
+
+
+def _as_letter(x: TreePair) -> tuple[int, int] | None:
+    """(k, e) when ``x`` is the generator pair of x_k^e, else None."""
+    domain, rng = x
+    if domain.endswith("CCLLL") and rng.endswith("CLCLL"):
+        e = 1
+    elif domain.endswith("CLCLL") and rng.endswith("CCLLL"):
+        e = -1
+    else:
+        return None
+    k = (len(domain) - 5) // 2
+    spine = "CL" * k
+    if domain.startswith(spine) and rng.startswith(spine):
+        return k, e
+    return None
+
+
+def _times_letter(x: TreePair, k: int, e: int) -> TreePair:
+    """The reduced pair ``x`` times x_k^e (e = +-1), as a local edit.
+
+    x_k has domain tree S(C(C A B) N) and range tree S(C A (C B N)), where
+    S is a right spine of k carets over single leaves.  So the product
+    walks k steps down the right spine of x's range tree R; where R lacks
+    a caret of x_k^e's domain tree, it adds that caret to R and the same
+    caret at the same leaf index of the domain tree D (the last leaf, or
+    leaf m of a left child, found by ``_leaf_at``).  Then it rotates the
+    node at depth k, C(C A B)N <-> C A (C B N), which keeps the order of
+    the leaves.
+
+    The result is reduced once the one new cherry (caret over two leaves)
+    that the rotation can make is contracted wherever it is common to both
+    trees, and so on up.  (D, R) is reduced, and an added caret only turns
+    a leaf into a cherry, so after the refinement the only cherries common
+    to both trees are the added carets at the same leaf index.  The
+    rotation breaks each of them: an added caret on the spine has a caret
+    as right child, and an added child of the depth-k node is the caret
+    that the rotation takes apart.  The rotation's only new caret that can
+    be a cherry is C B N (C A B for e = -1); where carets were added, its
+    leaves are not siblings in D, so only a rotation of carets R already
+    had can leave a common cherry.  Contracting a common cherry changes
+    nothing but the parent of the new leaf in each tree, so the next
+    common cherry, if any, is that parent in both trees with the new leaf
+    on the same side.  Each contraction removes a caret that some letter
+    added, so over a whole word the contractions cost amortised linear
+    time.
+    """
+    domain, rng = x
+    p = 0
+    for depth in range(k + 1):
+        if rng[p] == "L":
+            # the spine ends in the last leaf: graft the rest of x_k^e's
+            # trees there; their cherries sit at different leaf indices
+            spine = "CL" * (k - depth)
+            dom_end, rng_end = ("CCLLL", "CLCLL") if e > 0 else ("CLCLL", "CCLLL")
+            return TreePair(domain[:-1] + spine + dom_end, rng[:-1] + spine + rng_end)
+        if depth < k:
+            p = _subtree_end(rng, p + 1)
+    # rng[p] is the caret at depth k
+    if e > 0:
+        if rng[p + 1] == "L":
+            # add a caret at leaf m, then C(CLL)N -> CL(CLN)
+            q = _leaf_at(domain, rng.count("L", 0, p + 1))
+            return TreePair(domain[:q] + "CLL" + domain[q + 1 :], rng[:p] + "CLCL" + rng[p + 2 :])
+        a_end = _subtree_end(rng, p + 2)
+        # C(C A B)N -> C A (C B N): the caret moves from p + 1 to a_end - 1
+        rng = rng[: p + 1] + rng[p + 2 : a_end] + "C" + rng[a_end:]
+        r = a_end - 1
+    else:
+        a_end = _subtree_end(rng, p + 1)
+        if rng[a_end] == "L":
+            # add a caret at the last leaf, then C A (CLL) -> C(C A L)L
+            return TreePair(domain[:-1] + "CLL", rng[: p + 1] + "C" + rng[p + 1 : a_end] + "LL")
+        # C A (C B N) -> C(C A B)N: the caret moves from a_end to p + 1
+        rng = rng[: p + 1] + "C" + rng[p + 1 : a_end] + rng[a_end + 1 :]
+        r = p + 1
+    if not rng.startswith("CLL", r):
+        return TreePair(domain, rng)
+    d = _leaf_at(domain, rng.count("L", 0, r)) - 1
+    # r and d start a cherry over the same leaves when both read CLL
+    while d >= 0 and domain.startswith("CLL", d):
+        domain = domain[:d] + "L" + domain[d + 3 :]
+        rng = rng[:r] + "L" + rng[r + 3 :]
+        # the parent of R's new leaf is a cherry starting one character
+        # before it (the leaf on the left) or two (on the right), or none
+        if r >= 1 and rng.startswith("CLL", r - 1):
+            back = 1
+        elif r >= 2 and rng.startswith("CLL", r - 2):
+            back = 2
+        else:
+            break
+        d -= back
+        r -= back
+    return TreePair(domain, rng)
+
+
+_BLOCK = 32  # letters folded one at a time before products turn pairwise
+
+
 class FBackend(Backend):
     is_group = True
 
@@ -150,7 +271,29 @@ class FBackend(Backend):
             raise ValueError("generator index must be nonnegative")
         return TreePair("CL" * i + "CCLLL", "CL" * i + "CLCLL")
 
+    def from_word(self, w: Word) -> TreePair:
+        # Each block folds one letter at a time, every step a local edit;
+        # the blocks then multiply pairwise, level by level, so a power's
+        # trees grow one letter at a time only within a block.
+        xs = [
+            reduce(self.multiply, map(self.letter_element, w[i : i + _BLOCK]))
+            for i in range(0, len(w), _BLOCK)
+        ] or [self.identity]
+        while len(xs) > 1:
+            pairs = [self.multiply(x, y) for x, y in zip(xs[::2], xs[1::2])]
+            xs = pairs + xs[-1:] if len(xs) % 2 else pairs
+        return xs[0]
+
     def multiply(self, x: TreePair, y: TreePair) -> TreePair:
+        letter = _as_letter(y)
+        if letter:
+            return _times_letter(x, *letter)
+        letter = _as_letter(x)
+        if letter:
+            # x_k^e y = (y^-1 x_k^-e)^-1
+            k, e = letter
+            domain, rng = _times_letter(TreePair(y.range, y.domain), k, -e)
+            return TreePair(rng, domain)
         below_x, below_y = _refine(x.range, y.domain)
         return _reduced(_graft(x.domain, below_x), _graft(y.range, below_y))
 
@@ -214,10 +357,10 @@ def posmon_ball_size(length: int, max_index: int | None) -> int:
     A positive element is a forest diagram (Belk and Brown, "Forest
     diagrams for elements of Thompson's group F", IJAC 15, 2005): binary
     trees hanging from roots 0, 1, 2, ..., all but finitely many a bare
-    leaf, distinct forests for distinct elements.  Right-multiplying by x_q
-    joins the trees at roots q and q+1 under a new caret at root q and
-    moves every later tree one root to the left, so each letter adds one
-    caret and every word of an element has as many letters as it has
+    leaf, distinct forests for distinct elements.  Multiplying by x_q on
+    the left joins the trees at roots q and q+1 under a new caret at root
+    q and moves every later tree one root to the left, so each letter adds
+    one caret and every word of an element has as many letters as it has
     carets.  For a caret v let r(v) be the root of its tree and s(v) the
     number of right steps from that root down to v.  The element has a word
     over x0 .. x_K exactly when r(v) + s(v) <= K for every caret v:
@@ -228,7 +371,7 @@ def posmon_ball_size(length: int, max_index: int | None) -> int:
     - conversely, the root caret of the rightmost nontrivial tree, at root
       q, has r + s = q <= K, and splitting it off gives a forest that
       keeps the condition (only trivial trees move right), has one caret
-      less and gives the element back when multiplied by x_q.
+      less and gives the element back when multiplied on the left by x_q.
 
     So the tree at root r is one whose carets all have s <= K - r, and
     there is none past root K.  Let t(n, d) count the trees with n carets
@@ -258,6 +401,21 @@ def posmon_ball_size(length: int, max_index: int | None) -> int:
         power = _poly_mul(power, power)
         extra >>= 1
     return sum(total)
+
+
+def posmon_in_ball(x: NormalForm, length: int, max_index: int | None) -> bool:
+    """Whether the positive element ``x`` has a word of at most ``length``
+    letters over x0 .. x_K, K = ``max_index`` (1 when it is None), K >= 0:
+    by the forest criterion of ``posmon_ball_size``, it has at most
+    ``length`` carets and r + s <= K for every caret."""
+    K = 1 if max_index is None else max_index
+    # the largest s over the carets of the tree at each root, -1 for a bare
+    # leaf; the normal form's letters join trees from its last one back
+    heights: list[int] = []
+    for q in reversed(x):
+        heights += [-1] * (q + 2 - len(heights))
+        heights[q : q + 2] = [max(0, heights[q], heights[q + 1] + 1)]
+    return len(x) <= length and all(r + h <= K for r, h in enumerate(heights) if h >= 0)
 
 
 class PosMonoidBackend(Backend):
@@ -301,6 +459,9 @@ class PosMonoidBackend(Backend):
 
     def ball_size(self, length: int, max_index: int | None = None) -> int:
         return posmon_ball_size(length, max_index)
+
+    def in_ball(self, x: NormalForm, length: int, max_index: int | None = None) -> bool:
+        return posmon_in_ball(x, length, max_index)
 
     def envelope(self) -> FBackend:
         return self._envelope

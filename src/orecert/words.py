@@ -106,6 +106,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     UnknownGeneratorError.
     """
     letters: list[Letter] = []
+    seen: dict[str, tuple[Generator, int]] = {}  # name as written -> (generator, sign)
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -113,31 +114,19 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             i += 1
             continue
         start = i
-        sign = 1
         if ch == "x" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            gen = Generator("x", int(text[i + 1 : j]))
-            i = j
+            i += 1
+            while i < n and text[i].isdigit():
+                i += 1
         elif ch.isalpha() and ch.isascii():
-            if alphabet.kind == "indexed":
-                # A bare letter here would alias x0; only "x" DIGITS is valid.
-                raise UnknownGeneratorError(
-                    f"generator {ch!r} not in alphabet (at position {start})"
-                )
-            if ch.isupper():
-                gen = Generator(ch.lower())
-                sign = -1
-            else:
-                gen = Generator(ch)
             i += 1
         else:
             raise WordSyntaxError(f"unexpected character {ch!r}", start)
-        if gen not in alphabet:
-            raise UnknownGeneratorError(
-                f"generator {gen} not in alphabet (at position {start})"
-            )
+        name = text[start:i]
+        known = seen.get(name)
+        if known is None:
+            known = seen[name] = _parse_generator(name, alphabet, start)
+        gen, sign = known
         power = 1
         if i < n and text[i] == "^":
             i += 1
@@ -153,9 +142,34 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             power = psign * int(text[i:j])
             i = j
         total = sign * power
-        unit = 1 if total > 0 else -1
-        letters.extend((gen, unit) for _ in range(abs(total)))
+        if total == 1 or total == -1:
+            letters.append((gen, total))
+        elif total:
+            letters += [(gen, 1 if total > 0 else -1)] * abs(total)
     return tuple(letters)
+
+
+def _parse_generator(name: str, alphabet: Alphabet, start: int) -> tuple[Generator, int]:
+    """The generator a letter's name denotes, and +1, or -1 for an
+    uppercase inverse."""
+    sign = 1
+    if name[0] == "x" and len(name) > 1:
+        gen = Generator("x", int(name[1:]))
+    elif alphabet.kind == "indexed":
+        # A bare letter here would alias x0; only "x" DIGITS is valid.
+        raise UnknownGeneratorError(
+            f"generator {name!r} not in alphabet (at position {start})"
+        )
+    elif name.isupper():
+        gen = Generator(name.lower())
+        sign = -1
+    else:
+        gen = Generator(name)
+    if gen not in alphabet:
+        raise UnknownGeneratorError(
+            f"generator {gen} not in alphabet (at position {start})"
+        )
+    return gen, sign
 
 
 def print_word(w: Word) -> str:

@@ -225,7 +225,7 @@ def test_criterion_08_thompson_backend_checks():
         for j in range(i + 1, 6):
             lhs = fb.multiply(fb.generator_pair(j), fb.generator_pair(i))
             rhs = fb.multiply(fb.generator_pair(i), fb.generator_pair(j + 1))
-            if not fb.equals(lhs, rhs):
+            if lhs != rhs:
                 ok = False
     rng = random.Random(88)
     for _ in range(1000):

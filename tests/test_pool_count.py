@@ -8,6 +8,7 @@ reads the elements, and never twice.
 """
 
 import io
+import itertools
 import json
 import random
 
@@ -18,7 +19,7 @@ from orecert import ore
 from orecert.cli import main
 from orecert.errors import VerificationError
 from orecert.groups import make_backend
-from orecert.groups.thompson import posmon_ball_size
+from orecert.groups.thompson import posmon_ball_size, posmon_in_ball
 from orecert.ore import Exhausted, enumerate_pool, make_instance, solve
 from orecert.words import Alphabet, parse_word
 
@@ -54,12 +55,16 @@ def count_pools(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def no_pools(monkeypatch):
+def refuse_pools(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a pool was enumerated")
 
     monkeypatch.setattr(ore, "enumerate_pool", refuse)
+
+
+@pytest.fixture
+def no_pools(monkeypatch):
+    refuse_pools(monkeypatch)
 
 
 # -- the count ----------------------------------------------------------------
@@ -166,6 +171,55 @@ def test_search_and_verify_enumerate_a_pool_once_each(count_pools, tmp_path):
     assert code == 0 and len(count_pools) == 1
     assert _verify_doc(tmp_path, json.loads(out))[:2] == (0, "verified: ok\n")
     assert len(count_pools) == 2
+
+
+# -- pool membership decided per element ----------------------------------------
+
+
+@pytest.mark.parametrize("K", [None, 0, 1, 2, 3, 4])
+def test_forest_criterion_is_pool_membership(K):
+    for L in range(7):
+        pool = set(enumerate_pool(PM, L, K))
+        # a word of L letters over x0 .. x_K has a normal form with indices
+        # below K + L, so these normal forms include the whole ball
+        top = (1 if K is None else K) + L
+        for length in range(L + 2):
+            for nf in itertools.combinations_with_replacement(range(top + 1), length):
+                assert posmon_in_ball(nf, L, K) == (nf in pool), (nf, L, K)
+                assert PM.in_ball(nf, L, K) == (nf in pool)
+
+
+def test_group_and_named_backends_decide_no_membership():
+    for name in ("zm:2", "mb:2", "f"):
+        backend = make_backend(name)
+        assert backend.in_ball(backend.identity, 2, 2) is None
+
+
+def test_posmon_solution_and_signed_verify_build_no_pool(monkeypatch, tmp_path):
+    code, out, _ = run("ore-search", "--backend", "posmon", "--a", "x0 x0", "--b", "x1",
+                       "--max-support", "6", "--pool-len", "6", "--pool-idx", "6",
+                       "--format", "json")
+    assert code == 0
+    solution = json.loads(out)
+    assert solution["kind"] == "solution" and len(solution["U"]) == 6
+    # a = x1 x0 = x0 x2 = b has a word over x0, x1
+    code, out, _ = run("ore-signed", "--backend", "posmon", "--a", "x1 x0", "--b", "x0 x2",
+                       "--max-support", "2", "--pool-len", "2", "--pool-idx", "1",
+                       "--coeff-bound", "1", "--format", "json")
+    assert code == 0
+    signed = json.loads(out)
+    assert signed["kind"] == "signed"
+    refuse_pools(monkeypatch)
+    for doc in (solution, signed):
+        assert _verify_doc(tmp_path, doc)[:2] == (0, "verified: ok\n")
+    # x0 x0 x5 needs three letters
+    solution["bounds"]["L"] = 2
+    assert _verify_doc(tmp_path, solution)[:2] == (
+        1, "verification failed: U or V has an element outside the pool\n")
+    # x1 x3 = x2 x1 has two letters but no word over x0, x1
+    signed["u"] = signed["v"] = [[1, "x1 x3"]]
+    assert _verify_doc(tmp_path, signed)[:2] == (
+        1, "verification failed: u has a support element outside the pool\n")
 
 
 # -- negative K on the indexed backends -----------------------------------------

@@ -17,6 +17,7 @@ from orecert.groups import (
     tree_from_str,
     tree_leaves,
 )
+from orecert.groups.thompson import _times_letter
 from orecert.words import Generator, invert_word
 
 FB = FBackend()
@@ -59,7 +60,7 @@ def test_defining_relations_exhaustive():
         for j in range(i + 1, 6):
             lhs = FB.multiply(FB.generator_pair(j), FB.generator_pair(i))
             rhs = FB.multiply(FB.generator_pair(i), FB.generator_pair(j + 1))
-            assert FB.equals(lhs, rhs), (i, j)
+            assert lhs == rhs, (i, j)
 
 
 def test_relation_as_word_is_trivial():
@@ -75,7 +76,7 @@ def test_conjugation_raises_indices():
     for i in range(3):
         for j in range(i + 1, 5):
             w = f"x{i}^-1 x{j} x{i}"
-            assert FB.equals(fw(w), FB.generator_pair(j + 1)), (i, j)
+            assert fw(w) == FB.generator_pair(j + 1), (i, j)
 
 
 def test_homomorphism_random_words():
@@ -84,9 +85,7 @@ def test_homomorphism_random_words():
     for _ in range(1000):
         u = random_word(rng, pool, 20)
         v = random_word(rng, pool, 20)
-        assert FB.equals(
-            FB.from_word(u + v), FB.multiply(FB.from_word(u), FB.from_word(v))
-        )
+        assert FB.from_word(u + v) == FB.multiply(FB.from_word(u), FB.from_word(v))
 
 
 def test_agrees_with_nested_tuple_reference():
@@ -98,6 +97,65 @@ def test_agrees_with_nested_tuple_reference():
         text = FB.canonical_str(FB.from_word(w))
         assert text == ref.canonical_str(ref.from_word(w)), w
         assert FB.canonical_str(FB.element_from_str(text)) == text
+
+
+def _ref(x):
+    return f_reference.FBackend().element_from_str(FB.canonical_str(x))
+
+
+def test_times_letter_agrees_with_the_reference_on_every_prefix():
+    ref = f_reference.FBackend()
+    rng = random.Random(16)
+    pool = indexed_letters(5)
+    steps = cascades = 0
+    for t in range(2000):
+        w = random_word(rng, pool, 30)
+        if t % 2:
+            # w w^-1 ends in the identity, so its second half contracts
+            # whole subtrees back down
+            w += invert_word(w)
+        x, r = FB.identity, ref.identity
+        for letter in w:
+            y = _times_letter(x, letter[0].index, letter[1])
+            r = ref.multiply(r, ref.letter_element(letter))
+            assert FB.canonical_str(y) == ref.canonical_str(r), (w, letter)
+            steps += 1
+            # two or more contractions in one step
+            cascades += tree_leaves(y.domain) <= tree_leaves(x.domain) - 2
+            x = y
+        assert (t % 2 == 0) or FB.is_identity(x)
+    assert steps > 40000 and cascades > 1000
+
+
+def test_multiply_with_a_letter_on_either_side_is_the_general_product():
+    ref = f_reference.FBackend()
+    rng = random.Random(61)
+    pool = indexed_letters(5)
+    for _ in range(500):
+        x = FB.from_word(random_word(rng, pool, 40))
+        letter = rng.choice(pool)
+        g = FB.letter_element(letter)
+        rx, rg = _ref(x), ref.letter_element(letter)
+        assert FB.canonical_str(FB.multiply(x, g)) == ref.canonical_str(ref.multiply(rx, rg))
+        assert FB.canonical_str(FB.multiply(g, x)) == ref.canonical_str(ref.multiply(rg, rx))
+    for i in range(6):
+        for e in (1, -1):
+            g = FB.letter_element((Generator("x", i), e))
+            for j in range(6):
+                h = FB.generator_pair(j)
+                for y in (h, FB.inverse(h), FB.identity):
+                    expected = ref.multiply(_ref(g), _ref(y))
+                    assert FB.canonical_str(FB.multiply(g, y)) == ref.canonical_str(expected)
+
+
+@pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 64, 65, 97])
+def test_from_word_at_block_edges_equals_the_left_fold(length):
+    ref = f_reference.FBackend()
+    rng = random.Random(length)
+    pool = indexed_letters(4)
+    for _ in range(20):
+        w = tuple(rng.choice(pool) for _ in range(length))
+        assert FB.canonical_str(FB.from_word(w)) == ref.canonical_str(ref.from_word(w)), w
 
 
 def run(*argv):
@@ -162,7 +220,7 @@ def test_confluence_strategies_agree():
         assert rewrite_normalize(w, "rightmost") == fold
         assert rewrite_normalize(w, "random", rng) == fold
         # Rewriting must not move the element of F.
-        assert FB.equals(FB.from_word(w), PM.embed_to_envelope(fold))
+        assert FB.from_word(w) == PM.embed_to_envelope(fold)
 
 
 def test_monoid_homomorphism():

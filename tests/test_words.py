@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import words_reference
+
 from orecert.errors import UnknownGeneratorError, WordSyntaxError
 from orecert.words import (
     Alphabet,
@@ -163,3 +165,47 @@ def test_exponent_sums():
 def test_named_alphabet_rejects_x():
     with pytest.raises(ValueError):
         Alphabet.named("ax")
+
+
+# -- differential against the previous parser -----------------------------------
+
+INDEXED_TOKENS = ["x0", "x1", "x3", "x12", "x007", "x2^3", "x1^-2", "x0^+1", "x4^0", "x5^-10"]
+NAMED_TOKENS = ["a", "b", "A", "B^2", "a^-3", "b^0", "A^-2", "b^+4"]
+# unknown generators, separators without letters, and syntax errors
+JUNK = ["c", "X", "x", "x^2", "y", "*", "**", "\t", "^", "^-", "x3^", "x3^+", "a^-",
+        "7", "é", "?", "-", "x1^x2"]
+
+
+def _outcome(parse, text, alphabet):
+    try:
+        return "word", parse(text, alphabet)
+    except (WordSyntaxError, UnknownGeneratorError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_parser_agrees_with_the_previous_parser():
+    rng = random.Random(1729)
+    cases = [(X, INDEXED_TOKENS), (AB, NAMED_TOKENS), (Alphabet.named(3), NAMED_TOKENS)]
+    kinds = set()
+    for _ in range(4000):
+        for alphabet, tokens in cases:
+            pieces = [
+                rng.choice(JUNK if rng.random() < 0.05 else tokens)
+                for _ in range(rng.randrange(0, 14))
+            ]
+            text = "".join(p + rng.choice((" ", " ", "*", "")) for p in pieces)
+            expected = _outcome(words_reference.parse_word, text, alphabet)
+            assert _outcome(parse_word, text, alphabet) == expected, (text, alphabet)
+            kinds.add(expected[0])
+    assert kinds == {"word", WordSyntaxError, UnknownGeneratorError}
+
+
+def test_parser_agrees_on_long_powers_and_words():
+    rng = random.Random(800)
+    for length in (0, 1, 50, 800):
+        text = " ".join(
+            f"x{rng.randrange(6)}^{rng.choice((1, -1, 2, -3, 17))}" for _ in range(length)
+        )
+        assert parse_word(text, X) == words_reference.parse_word(text, X)
+    upper = "a^5 * B^-7 A b^12*a^-1"
+    assert parse_word(upper, AB) == words_reference.parse_word(upper, AB)
