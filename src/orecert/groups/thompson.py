@@ -21,7 +21,7 @@ forest, the subtrees hanging off the range tree's right spine (Belk and
 Brown, "Forest diagrams for elements of Thompson's group F", IJAC 15,
 2005), so it rotates one caret of the range tree and contracts the few
 carets that the rotation leaves common to both trees.  ``from_word``
-folds blocks of 32 letters that way and multiplies the block results
+folds blocks of 128 letters that way and multiplies the block results
 pairwise.  No helper recurses, so trees of any depth are fine.
 
 The positive monoid backend keeps elements in rewriting normal form: the
@@ -249,7 +249,13 @@ def _times_letter(x: TreePair, k: int, e: int) -> TreePair:
     return TreePair(domain, rng)
 
 
-_BLOCK = 32  # letters folded one at a time before products turn pairwise
+# Letters folded one at a time before products turn pairwise.  A letter
+# step copies its operand's strings, so one fold over a whole word is
+# quadratic where the trees keep growing: 16 s against 0.9 s on 100,000
+# random letters.  Blocks of 32 to 128 letters time alike on random words;
+# 128 was the fastest on the f-words benchmark and on x0^100000
+# (BENCH_16.json).
+_BLOCK = 128
 
 
 class FBackend(Backend):

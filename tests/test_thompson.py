@@ -14,6 +14,7 @@ from orecert.groups import (
     FBackend,
     PosMonoidBackend,
     pos_normalize,
+    thompson,
     tree_from_str,
     tree_leaves,
 )
@@ -148,7 +149,10 @@ def test_multiply_with_a_letter_on_either_side_is_the_general_product():
                     assert FB.canonical_str(FB.multiply(g, y)) == ref.canonical_str(expected)
 
 
-@pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 64, 65, 97])
+BLOCK = thompson._BLOCK
+
+
+@pytest.mark.parametrize("length", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 1])
 def test_from_word_at_block_edges_equals_the_left_fold(length):
     ref = f_reference.FBackend()
     rng = random.Random(length)
@@ -156,6 +160,42 @@ def test_from_word_at_block_edges_equals_the_left_fold(length):
     for _ in range(20):
         w = tuple(rng.choice(pool) for _ in range(length))
         assert FB.canonical_str(FB.from_word(w)) == ref.canonical_str(ref.from_word(w)), w
+
+
+def test_from_word_work_grows_as_n_log_n(monkeypatch):
+    # A letter step copies its operand's strings, so one fold over a whole
+    # word whose trees keep growing copies n^2 characters, and so does a
+    # fold of the block results.  Blocks multiplied pairwise hand n log n
+    # characters to the letter steps and general products together: on
+    # these words, four times the letters take about 4 times the work, a
+    # fold of the letters 16 times, and a fold of the block results about
+    # 8 times on the powers.
+    handed = [0]
+    times_letter, refine = thompson._times_letter, thompson._refine
+
+    def counted_times_letter(x, k, e):
+        handed[0] += len(x.domain) + len(x.range)
+        return times_letter(x, k, e)
+
+    def counted_refine(a, b):
+        handed[0] += len(a) + len(b)
+        return refine(a, b)
+
+    monkeypatch.setattr(thompson, "_times_letter", counted_times_letter)
+    monkeypatch.setattr(thompson, "_refine", counted_refine)
+    rng = random.Random(8)
+    pool = indexed_letters(3)
+    for make in (
+        lambda n: ((Generator("x", 0), 1),) * n,
+        lambda n: ((Generator("x", 3), -1),) * n,
+        lambda n: tuple(rng.choice(pool) for _ in range(n)),
+    ):
+        work = []
+        for n in (128 * BLOCK, 512 * BLOCK):
+            handed[0] = 0
+            FB.from_word(make(n))
+            work.append(handed[0])
+        assert work[1] < 6 * work[0], work
 
 
 def run(*argv):
