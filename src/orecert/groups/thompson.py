@@ -251,10 +251,9 @@ def _times_letter(x: TreePair, k: int, e: int) -> TreePair:
 
 # Letters folded one at a time before products turn pairwise.  A letter
 # step copies its operand's strings, so one fold over a whole word is
-# quadratic where the trees keep growing: 16 s against 0.9 s on 100,000
-# random letters.  Blocks of 32 to 128 letters time alike on random words;
-# 128 was the fastest on the f-words benchmark and on x0^100000
-# (BENCH_16.json).
+# quadratic where the trees keep growing.  Blocks of 32 to 128 letters
+# time alike on random words; 128 was the fastest on the f-words benchmark
+# and on x0^100000 (BENCH_16.json).
 _BLOCK = 128
 
 

@@ -152,7 +152,9 @@ def test_multiply_with_a_letter_on_either_side_is_the_general_product():
 BLOCK = thompson._BLOCK
 
 
-@pytest.mark.parametrize("length", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 1])
+@pytest.mark.parametrize(
+    "length", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 1]
+)
 def test_from_word_at_block_edges_equals_the_left_fold(length):
     ref = f_reference.FBackend()
     rng = random.Random(length)
