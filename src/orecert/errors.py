@@ -30,7 +30,8 @@ class BackendMismatchError(OrecertError):
 
 
 class ModeMismatchError(OrecertError):
-    """Signed/unsigned semiring modes mixed in one operation."""
+    """A search called for the wrong ring, or a multiset view of a value
+    with a coefficient below one."""
 
 
 class UnsupportedOperationError(OrecertError):

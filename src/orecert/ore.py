@@ -54,7 +54,6 @@ from .semiring import (
     sr_add,
     sr_as_multiset,
     sr_equals,
-    sr_left_factor,
     sr_mul,
     sr_scale,
 )
@@ -198,16 +197,14 @@ class SignedSolution:
 
 
 def verify_solution(backend, a, b, U, V) -> Solution:
-    """Expand both sides in Z+[M] and insist they agree."""
+    """Expand both sides of (1+a)*U = (1+b)*V (``expand_signed`` with
+    signs ++ and unit coefficients) and insist they agree."""
     if len(U) != len(V) or not U:
         raise VerificationError(f"|U| = {len(U)} and |V| = {len(V)} must match and be >= 1")
-    u_sum = SemiringElement.from_elements(backend, U)
-    v_sum = SemiringElement.from_elements(backend, V)
-    lhs = sr_left_factor(a, u_sum)
-    rhs = sr_left_factor(b, v_sum)
-    if not sr_equals(lhs, rhs):
+    sol = expand_signed(backend, a, b, (1, 1), [(1, g) for g in U], [(1, g) for g in V])
+    if not sol.verified:
         raise VerificationError("solution failed semiring verification")
-    return Solution(tuple(sorted(U)), tuple(sorted(V)), lhs, rhs, True)
+    return Solution(tuple(g for _, g in sol.u), tuple(g for _, g in sol.v), sol.lhs, sol.rhs, True)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +364,10 @@ def _search(inst: OreInstance):
     return sides[0][1], sides[1][1]
 
 
-def search_common_multiple(inst: OreInstance, jobs: int = 1):
+def search_common_multiple(inst: OreInstance):
     """First solution (U, V) of (1+a)*U = (1+b)*V in Z+[M], multisets over
     the pool with |U| = |V| <= max_support, or an Exhausted report (see
-    ``_search``).  The search runs serially; ``jobs`` is accepted for
-    compatibility and changes nothing."""
+    ``_search``)."""
     if inst.signed:
         raise ModeMismatchError("use search_signed for signed instances")
     found = _search(inst)
@@ -390,10 +386,8 @@ def expand_signed(backend, a, b, signs, u, v) -> SignedSolution:
 
     def side(terms, factor, sign):
         terms = tuple(sorted(terms, key=lambda term: term[1]))
-        total = SemiringElement.zero(backend, signed=True)
-        for lam, g in terms:
-            total = sr_add(total, SemiringElement.monomial(backend, g, lam, signed=True))
-        mono = SemiringElement.monomial(backend, factor, 1, signed=True)
+        total = SemiringElement.from_terms(backend, terms)
+        mono = SemiringElement.monomial(backend, factor)
         return terms, sr_add(total, sr_scale(sr_mul(mono, total), sign))
 
     sa, sb = signs
@@ -402,12 +396,11 @@ def expand_signed(backend, a, b, signs, u, v) -> SignedSolution:
     return SignedSolution(u_terms, v_terms, lhs, rhs, sr_equals(lhs, rhs))
 
 
-def search_signed(inst: OreInstance, jobs: int = 1):
+def search_signed(inst: OreInstance):
     """First solution of (1 +/- a) u = (1 +/- b) v in Z[M], or an Exhausted
     report (see ``_search``).  Supports live in the pool, coefficients in
     [-c, c] without zero, at most ``max_support`` support elements per
-    side, u = v = 0 excluded.  The search runs serially; ``jobs`` is
-    accepted for compatibility and changes nothing."""
+    side, u = v = 0 excluded."""
     if not inst.signed:
         raise ModeMismatchError("signed search needs a coefficient bound")
     found = _search(inst)

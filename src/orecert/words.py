@@ -207,15 +207,6 @@ def concat(*ws: Word) -> Word:
     return tuple(out)
 
 
-def exponent_sums(w: Word) -> dict[Generator, int]:
-    sums: dict[Generator, int] = {}
-    for g, e in w:
-        sums[g] = sums.get(g, 0) + e
-        if sums[g] == 0:
-            del sums[g]
-    return sums
-
-
 def _indexed_only(w: Word) -> bool:
     return all(g.name == "x" for g, _ in w)
 

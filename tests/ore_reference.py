@@ -200,14 +200,14 @@ def reference_signed(inst):
     v_terms = sorted(
         ((backend.canonical_key(t.pool[i]), t.pool[i], lam) for i, lam in hit[1].items())
     )
-    u_sr = SemiringElement.zero(backend, signed=True)
+    u_sr = SemiringElement.zero(backend)
     for _, g, lam in u_terms:
-        u_sr = sr_add(u_sr, SemiringElement.monomial(backend, g, lam, signed=True))
-    v_sr = SemiringElement.zero(backend, signed=True)
+        u_sr = sr_add(u_sr, SemiringElement.monomial(backend, g, lam))
+    v_sr = SemiringElement.zero(backend)
     for _, g, lam in v_terms:
-        v_sr = sr_add(v_sr, SemiringElement.monomial(backend, g, lam, signed=True))
-    a_mono = SemiringElement.monomial(backend, inst.a, 1, signed=True)
-    b_mono = SemiringElement.monomial(backend, inst.b, 1, signed=True)
+        v_sr = sr_add(v_sr, SemiringElement.monomial(backend, g, lam))
+    a_mono = SemiringElement.monomial(backend, inst.a, 1)
+    b_mono = SemiringElement.monomial(backend, inst.b, 1)
     lhs = sr_add(u_sr, sr_scale(sr_mul(a_mono, u_sr), sa))
     rhs = sr_add(v_sr, sr_scale(sr_mul(b_mono, v_sr), sb))
     if not sr_equals(lhs, rhs):

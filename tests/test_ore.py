@@ -105,22 +105,12 @@ def test_mb_slice_exhausted():
     assert isinstance(search_common_multiple(inst), Exhausted)
 
 
-def test_jobs_match_sequential():
-    inst = make_instance(ZM, ZM.from_text("a"), ZM.from_text("b"), 2, 1)
-    seq = search_common_multiple(inst, jobs=1)
-    par = search_common_multiple(inst, jobs=4)
-    assert strs(ZM, seq.U) == strs(ZM, par.U)
-    assert strs(ZM, seq.V) == strs(ZM, par.V)
-    inst2 = make_instance(PM, PM.from_text("x0"), PM.from_text("x1"), 2, 2, 2)
-    assert isinstance(search_common_multiple(inst2, jobs=4), Exhausted)
-
-
 def _brute_force(backend, a, b, pool, n):
     for m in range(1, n + 1):
         for U in combinations_with_replacement(pool, m):
-            lhs = sr_left_factor(a, SemiringElement.from_elements(backend, U))
+            lhs = sr_left_factor(a, SemiringElement.from_terms(backend, [(1, g) for g in U]))
             for V in combinations_with_replacement(pool, m):
-                rhs = sr_left_factor(b, SemiringElement.from_elements(backend, V))
+                rhs = sr_left_factor(b, SemiringElement.from_terms(backend, [(1, g) for g in V]))
                 if sr_equals(lhs, rhs):
                     return U, V
     return None
@@ -318,7 +308,7 @@ def test_signed_posmon_bounded_outcome():
     assert isinstance(out, (SignedSolution, Exhausted))
     if isinstance(out, SignedSolution):
         assert out.verified
-    assert isinstance(search_signed(inst, jobs=3), type(out))
+    assert isinstance(search_signed(inst), type(out))
 
 
 # -- random positive controls -------------------------------------------------

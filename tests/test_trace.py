@@ -210,3 +210,8 @@ def test_conjugation_site_must_read_x0_inverse_v_x0(monkeypatch):
     monkeypatch.setattr("orecert.groups.trace._leftmost_conjugation_site", lambda w: (0, 2))
     with pytest.raises(VerificationError, match="malformed conjugation site"):
         alt_trace(tw("x0 x1 x0^-1 x1^-1"), FB)
+
+
+def test_exponent_sums():
+    sums = trace_reference.exponent_sums(tw("x0 x1 x0^-1 x1"))
+    assert sums == {Generator("x", 1): 2}

@@ -9,7 +9,6 @@ from orecert.words import (
     Alphabet,
     Generator,
     cyclic_shift,
-    exponent_sums,
     free_reduce,
     invert_word,
     is_alternating,
@@ -155,11 +154,6 @@ def test_shift_word():
     assert shift_word(shift_word(w, 3), -3) == w
     with pytest.raises(ValueError):
         shift_word(w, -2)
-
-
-def test_exponent_sums():
-    sums = exponent_sums(lw("x0 x1 x0^-1 x1"))
-    assert sums == {Generator("x", 1): 2}
 
 
 def test_named_alphabet_rejects_x():

@@ -27,12 +27,20 @@ from orecert.words import (
     Word,
     concat,
     cyclic_shift,
-    exponent_sums,
     invert_word,
     is_alternating,
     print_word,
     shift_word,
 )
+
+
+def exponent_sums(w: Word) -> dict[Generator, int]:
+    sums: dict[Generator, int] = {}
+    for g, e in w:
+        sums[g] = sums.get(g, 0) + e
+        if sums[g] == 0:
+            del sums[g]
+    return sums
 
 
 def _min_subscript_witness(w: Word) -> tuple[int, int]:
