@@ -32,11 +32,6 @@ class Backend:
     def from_word(self, w: Word):
         raise NotImplementedError
 
-    def letter_element(self, letter):
-        gen, exp = letter
-        g = self.generator_element(gen)
-        return g if exp > 0 else self.inverse(g)
-
     def generator_element(self, gen):
         raise NotImplementedError
 

@@ -21,18 +21,19 @@ forest, the subtrees hanging off the range tree's right spine (Belk and
 Brown, "Forest diagrams for elements of Thompson's group F", IJAC 15,
 2005), so it rotates one caret of the range tree and contracts the few
 carets that the rotation leaves common to both trees.  ``from_word``
-folds blocks of 128 letters that way and multiplies the block results
-pairwise.  No helper recurses, so trees of any depth are fine.
+hands each letter's index and exponent straight to that step, folding
+blocks of 128 letters from the identity, and multiplies the block
+results pairwise.  No helper recurses, so trees of any depth are fine.
 
 The positive monoid backend keeps elements in rewriting normal form: the
 rule x_j x_i -> x_i x_{j+1} (i < j) is terminating and confluent on
 positive words, and the irreducible words are exactly the non-decreasing
-index sequences.
+index sequences.  ``pos_normalize`` reaches it by inserting a word's
+letters on the left, last letter first.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import add
 from typing import NamedTuple
 
@@ -280,10 +281,14 @@ class FBackend(Backend):
         # Each block folds one letter at a time, every step a local edit;
         # the blocks then multiply pairwise, level by level, so a power's
         # trees grow one letter at a time only within a block.
-        xs = [
-            reduce(self.multiply, map(self.letter_element, w[i : i + _BLOCK]))
-            for i in range(0, len(w), _BLOCK)
-        ] or [self.identity]
+        # An empty word is one empty block.
+        position = self.alphabet.position
+        xs = []
+        for i in range(0, max(len(w), 1), _BLOCK):
+            x = TreePair("L", "L")
+            for gen, e in w[i : i + _BLOCK]:
+                x = _times_letter(x, position(gen), e)
+            xs.append(x)
         while len(xs) > 1:
             pairs = [self.multiply(x, y) for x, y in zip(xs[::2], xs[1::2])]
             xs = pairs + xs[-1:] if len(xs) % 2 else pairs
@@ -334,15 +339,31 @@ def _append_generator(nf: NormalForm, q: int) -> NormalForm:
 
 
 def pos_normalize(w: Word) -> NormalForm:
-    """Normal form of a positive word over x0, x1, ..., built by inserting
-    its letters one at a time."""
+    """Normal form of a positive word over x0, x1, ..., built by reading it
+    right to left and multiplying each letter on the left.
+
+    The list read so far is a non-decreasing p_0 p_1 ... p_(n-1), and the
+    new letter x_q is placed at its front.  While the letter's index is
+    above the next p_j, the relation x_q x_p = x_p x_(q+1) (p < q) moves it
+    one place right and raises its index by one; every letter it passes
+    stays as it is.  It stops before the first p_j at or above its index:
+    the letters it passed are each below the index it had there, so below
+    the index it stops with, and the letters after it are at least that
+    index, so the list stays non-decreasing, the monoid's normal form."""
     for gen, exp in w:
         if exp != 1:
             raise NegativeExponentError(f"positive word expected, found {gen}^-1")
-    nf: NormalForm = ()
-    for gen, _ in w:
-        nf = _append_generator(nf, gen.index)
-    return nf
+    nf: list[int] = []
+    for gen, _ in reversed(w):
+        q = gen.index
+        j = 0
+        for p in nf:
+            if p >= q:
+                break
+            q += 1
+            j += 1
+        nf.insert(j, q)
+    return tuple(nf)
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:

@@ -175,10 +175,6 @@ class Solution:
     rhs: SemiringElement
     verified: bool
 
-    @property
-    def mass(self) -> int:
-        return len(self.U)
-
 
 @dataclass
 class Exhausted:

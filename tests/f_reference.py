@@ -150,6 +150,11 @@ class FBackend(Backend):
             x = self.multiply(x, self.letter_element(letter))
         return x
 
+    def letter_element(self, letter) -> TreePair:
+        gen, exp = letter
+        g = self.generator_element(gen)
+        return g if exp > 0 else self.inverse(g)
+
     @property
     def identity(self) -> TreePair:
         return TreePair(LEAF, LEAF)

@@ -88,7 +88,7 @@ def test_check_agrees_with_the_reference_search(spec):
     if check.length is None:
         assert isinstance(reference, Exhausted)
     if not isinstance(reference, Exhausted):
-        assert check.length is not None and check.length <= 2 * reference.mass
+        assert check.length is not None and check.length <= 2 * len(reference.U)
 
 
 def test_grid_refutes_some_instances():

@@ -37,7 +37,7 @@ def test_extracted_cycles_walk_back_into_the_pool(spec):
     for rel in extract_cycles(graph, backend, a, b):
         rebuilt = relation_to_solution(backend, a, b, rel.word, pool=inst.pool)
         assert rebuilt.verified
-        assert rebuilt.mass == len(rel.word) // 2
+        assert len(rebuilt.U) == len(rel.word) // 2
         assert set(rebuilt.U) <= pool and set(rebuilt.V) <= pool
 
 

@@ -9,7 +9,7 @@ import f_reference
 from helpers import indexed_letters, random_word, rewrite_normalize
 
 from orecert.cli import main
-from orecert.errors import NegativeExponentError
+from orecert.errors import NegativeExponentError, UnknownGeneratorError
 from orecert.groups import (
     FBackend,
     PosMonoidBackend,
@@ -135,13 +135,13 @@ def test_multiply_with_a_letter_on_either_side_is_the_general_product():
     for _ in range(500):
         x = FB.from_word(random_word(rng, pool, 40))
         letter = rng.choice(pool)
-        g = FB.letter_element(letter)
+        g = FB.from_word((letter,))
         rx, rg = _ref(x), ref.letter_element(letter)
         assert FB.canonical_str(FB.multiply(x, g)) == ref.canonical_str(ref.multiply(rx, rg))
         assert FB.canonical_str(FB.multiply(g, x)) == ref.canonical_str(ref.multiply(rg, rx))
     for i in range(6):
         for e in (1, -1):
-            g = FB.letter_element((Generator("x", i), e))
+            g = FB.from_word(((Generator("x", i), e),))
             for j in range(6):
                 h = FB.generator_pair(j)
                 for y in (h, FB.inverse(h), FB.identity):
@@ -217,6 +217,13 @@ def test_deep_trees_in_the_cli(tmp_path):
     assert json.loads(out)["element"].count("C") > 5000
 
 
+def test_from_word_rejects_a_letter_outside_the_alphabet():
+    with pytest.raises(UnknownGeneratorError):
+        FB.from_word(((Generator("a"), 1),))
+    with pytest.raises(UnknownGeneratorError):
+        FB.from_word(((Generator("x", 0), 1), (Generator("a"), -1)))
+
+
 def test_word_inverse_random():
     rng = random.Random(9)
     pool = indexed_letters(3)
@@ -263,6 +270,22 @@ def test_confluence_strategies_agree():
         assert rewrite_normalize(w, "random", rng) == fold
         # Rewriting must not move the element of F.
         assert FB.from_word(w) == PM.embed_to_envelope(fold)
+
+
+def test_left_insertion_equals_the_multiply_fold():
+    # Words of the f-words benchmark's shape: up to 400 letters over
+    # x0..x5.  PM.multiply appends on the right, so the fold reads each
+    # word left to right where pos_normalize reads it right to left.
+    rng = random.Random(18)
+    for t in range(200):
+        w = tuple((Generator("x", rng.randrange(6)), 1) for _ in range(rng.randrange(0, 401)))
+        fold = PM.identity
+        for gen, _ in w:
+            fold = PM.multiply(fold, PM.generator_element(gen))
+        nf = pos_normalize(w)
+        assert nf == fold, w
+        if t % 20 == 0:
+            assert PM.embed_to_envelope(nf) == FB.from_word(w)
 
 
 def test_monoid_homomorphism():

@@ -190,8 +190,11 @@ def test_shift_that_changes_identity_status_raises():
 class SwappedBackend(FBackend):
     """Evaluates x2 as x3 and x3 as x2, which breaks x0^-1 x1 x0 = x2."""
 
-    def generator_element(self, gen):
-        return super().generator_element(Generator("x", {2: 3, 3: 2}.get(gen.index, gen.index)))
+    def from_word(self, word):
+        swap = {2: 3, 3: 2}
+        return super().from_word(
+            tuple((Generator("x", swap.get(g.index, g.index)), e) for g, e in word)
+        )
 
 
 def test_local_conjugation_check_catches_a_wrong_relation():
