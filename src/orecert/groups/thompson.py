@@ -28,8 +28,7 @@ results pairwise.  No helper recurses, so trees of any depth are fine.
 The positive monoid backend keeps elements in rewriting normal form: the
 rule x_j x_i -> x_i x_{j+1} (i < j) is terminating and confluent on
 positive words, and the irreducible words are exactly the non-decreasing
-index sequences.  ``pos_normalize`` reaches it by inserting a word's
-letters on the left, last letter first.
+index sequences.
 """
 
 from __future__ import annotations
@@ -280,8 +279,8 @@ class FBackend(Backend):
     def from_word(self, w: Word) -> TreePair:
         # Each block folds one letter at a time, every step a local edit;
         # the blocks then multiply pairwise, level by level, so a power's
-        # trees grow one letter at a time only within a block.
-        # An empty word is one empty block.
+        # trees grow one letter at a time only within a block.  An empty
+        # word is one empty block.
         position = self.alphabet.position
         xs = []
         for i in range(0, max(len(w), 1), _BLOCK):
@@ -342,14 +341,12 @@ def pos_normalize(w: Word) -> NormalForm:
     """Normal form of a positive word over x0, x1, ..., built by reading it
     right to left and multiplying each letter on the left.
 
-    The list read so far is a non-decreasing p_0 p_1 ... p_(n-1), and the
-    new letter x_q is placed at its front.  While the letter's index is
-    above the next p_j, the relation x_q x_p = x_p x_(q+1) (p < q) moves it
-    one place right and raises its index by one; every letter it passes
-    stays as it is.  It stops before the first p_j at or above its index:
-    the letters it passed are each below the index it had there, so below
-    the index it stops with, and the letters after it are at least that
-    index, so the list stays non-decreasing, the monoid's normal form."""
+    The letters read so far form a non-decreasing list.  A new letter x_q
+    enters at its front; while the next p is below the letter's index,
+    x_q x_p = x_p x_(q+1) moves the letter past p, raising its index by
+    one and leaving p as it is.  It stops before the first p at or above
+    its index, above every letter it passed and below none after it, so
+    the list stays non-decreasing: the monoid's normal form."""
     for gen, exp in w:
         if exp != 1:
             raise NegativeExponentError(f"positive word expected, found {gen}^-1")
