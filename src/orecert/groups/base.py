@@ -46,6 +46,12 @@ class Backend:
     def multiply(self, x, y):
         raise NotImplementedError
 
+    def right_multiplier(self, y):
+        """The map x -> x*y, for elements x of this backend.  ``y`` is
+        recognised once, here, so a backend can turn a product by one
+        letter into a cheap step; the step itself checks nothing."""
+        return lambda x: self.multiply(x, y)
+
     def inverse(self, x):
         raise UnsupportedOperationError(f"{self.name} has no inverses")
 

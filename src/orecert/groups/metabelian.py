@@ -11,6 +11,8 @@ empty.  The element is a tuple (t, flow), and so its own canonical key.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import itemgetter
 from typing import NamedTuple
 
 from ..errors import BackendMismatchError
@@ -76,6 +78,27 @@ class MbBackend(Backend):
         return FlowElement(
             tuple(a + b for a, b in zip(x.t, y.t)), _freeze(flow)
         )
+
+    def right_multiplier(self, y: FlowElement):
+        # One edge carrying +-1 is a letter a_i^v: the boundary condition
+        # puts it at (0, i) for v = 1 and at (-e_i, i) for v = -1.
+        if len(y.flow) == 1 and y.flow[0][1] in (1, -1):
+            (_, i), v = y.flow[0]
+
+            def step(x: FlowElement) -> FlowElement:
+                # t moves by v e_i, and v is added on the edge (t, i) or
+                # (t - e_i, i), spliced into the sorted flow
+                t = x.t[:i] + (x.t[i] + v,) + x.t[i + 1 :]
+                edge = (x.t if v > 0 else t, i)
+                flow = x.flow
+                j = bisect_left(flow, edge, key=itemgetter(0))
+                if j < len(flow) and flow[j][0] == edge:
+                    w = flow[j][1] + v
+                    return FlowElement(t, flow[:j] + (((edge, w),) if w else ()) + flow[j + 1 :])
+                return FlowElement(t, flow[:j] + ((edge, v),) + flow[j:])
+
+            return step
+        return super().right_multiplier(y)
 
     def inverse(self, x: FlowElement) -> FlowElement:
         inv_t = tuple(-a for a in x.t)

@@ -306,6 +306,13 @@ class FBackend(Backend):
         below_x, below_y = _refine(x.range, y.domain)
         return _reduced(_graft(x.domain, below_x), _graft(y.range, below_y))
 
+    def right_multiplier(self, y: TreePair):
+        letter = _as_letter(y)
+        if letter:
+            k, e = letter
+            return lambda x: _times_letter(x, k, e)
+        return super().right_multiplier(y)
+
     def inverse(self, x: TreePair) -> TreePair:
         return TreePair(x.range, x.domain)
 
@@ -464,6 +471,12 @@ class PosMonoidBackend(Backend):
         for q in y:
             x = _append_generator(x, q)
         return x
+
+    def right_multiplier(self, y: NormalForm):
+        if len(y) == 1:
+            q = y[0]
+            return lambda x: _append_generator(x, q)
+        return super().right_multiplier(y)
 
     # The element is its own key; kept per class so bench/tracer.py can wrap it.
     def canonical_key(self, x: NormalForm):

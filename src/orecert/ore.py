@@ -32,7 +32,9 @@ forest diagram, it has a word over x0 .. x_K exactly when every caret's
 root index plus its right steps from that root is at most K, and the
 balls are counted by the generating functions of such trees
 (``thompson.posmon_ball_size``).  So a posmon exhaustion that the check
-proves builds no pool at all.
+proves builds no pool at all.  Pools and the check's levels are built by
+``Backend.right_multiplier`` steps, one per generator letter, and a
+group's pool never steps back along the letter that reached an element.
 """
 
 from __future__ import annotations
@@ -117,21 +119,31 @@ def enumerate_pool(backend: Backend, length: int, max_index: int | None = None) 
 
     Group backends include inverse letters.  The identity is always present.
     Where the backend counts its balls, the count must match the ball.
+
+    The ball grows breadth first, one ``right_multiplier`` step per letter.
+    On a group the letters come in pairs g, g^-1, and an element y first
+    reached as x * l is not multiplied by l^-1: y * l^-1 = x is already in
+    the ball, so the skip loses no element.  A monoid has no inverse
+    letters and skips nothing.
     """
     _check_pool_bounds(backend, length, max_index)
     letters = [g for _, g in backend.generators(max_index)]
     if backend.is_group:
-        letters += [backend.inverse(g) for g in letters]
+        letters = [h for g in letters for h in (g, backend.inverse(g))]
+    # (index, step, index of the inverse letter, or -1 on a monoid)
+    steps = [(i, backend.right_multiplier(g), i ^ 1 if backend.is_group else -1)
+             for i, g in enumerate(letters)]
     seen = {backend.identity}
-    frontier = [backend.identity]
+    frontier = [(backend.identity, -1)]  # (element, letter index to skip)
     for _ in range(length):
         grown = []
-        for x in frontier:
-            for letter in letters:
-                y = backend.multiply(x, letter)
-                if y not in seen:
-                    seen.add(y)
-                    grown.append(y)
+        for x, skip in frontier:
+            for i, step, back in steps:
+                if i != skip:
+                    y = step(x)
+                    if y not in seen:
+                        seen.add(y)
+                        grown.append((y, back))
         frontier = grown
     counted = backend.ball_size(length, max_index)
     if counted is not None and counted != len(seen):
@@ -427,7 +439,8 @@ def alternating_relation_length(backend, a, b, n: int, budget: int) -> RelationC
     Level k holds A_k and B_k, the values of the alternating words of
     length k that start with a and with b, over all sign choices; each
     level is the one before multiplied on the right by both signs of the
-    next letter.  An alternating word of length 2k that starts with a is
+    next letter, through one ``right_multiplier`` step per signed letter.
+    An alternating word of length 2k that starts with a is
     u w with u in A_k, and w^-1 starts with a letter of w's last label,
     which is b, so w^-1 is a word of B_k; conversely u v^-1 alternates for
     u in A_k and v in B_k.  So such a word is trivial exactly when A_k and
@@ -451,6 +464,7 @@ def alternating_relation_length(backend, a, b, n: int, budget: int) -> RelationC
     env = backend.envelope()
     x, y = backend.embed_to_envelope(a), backend.embed_to_envelope(b)
     letters = ((x, env.inverse(x)), (y, env.inverse(y)))
+    steps = [[env.right_multiplier(s) for s in pair] for pair in letters]
     A, B = set(letters[0]), set(letters[1])
     multiplies = 0
     for k in range(1, n + 1):
@@ -460,8 +474,8 @@ def alternating_relation_length(backend, a, b, n: int, budget: int) -> RelationC
                 return RelationCheck(None, False, multiplies)
             multiplies += cost
             # letter k of a word of A_k is an a-letter when k is odd
-            A = {env.multiply(v, s) for v in A for s in letters[(k - 1) % 2]}
-            B = {env.multiply(v, s) for v in B for s in letters[k % 2]}
+            A = {step(v) for v in A for step in steps[(k - 1) % 2]}
+            B = {step(v) for v in B for step in steps[k % 2]}
         if not A.isdisjoint(B):
             return RelationCheck(2 * k, True, multiplies)
     return RelationCheck(None, True, multiplies)

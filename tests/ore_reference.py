@@ -1,4 +1,5 @@
-"""Unpruned serial Ore searches, kept as the oracle for differential tests.
+"""Unpruned serial Ore searches, and the pool and relation check built
+from plain ``multiply`` calls, kept as the oracle for differential tests.
 
 These are the searches ``orecert.ore`` ran before canonical seeding: every
 seed (and, in the signed search, both signs of every seed coefficient)
@@ -10,7 +11,7 @@ first solution and never expand more nodes.
 from __future__ import annotations
 
 from orecert.errors import ModeMismatchError, VerificationError
-from orecert.ore import Exhausted, SignedSolution, verify_solution
+from orecert.ore import Exhausted, RelationCheck, SignedSolution, verify_solution
 from orecert.semiring import SemiringElement, sr_add, sr_equals, sr_mul, sr_scale
 
 
@@ -217,3 +218,40 @@ def reference_signed(inst):
         tuple((lam, g) for _, g, lam in v_terms),
         lhs, rhs, True,
     )
+
+
+def reference_pool(backend, length, max_index=None):
+    """The ball of radius ``length``, sorted: a breadth-first search that
+    multiplies every element of each sphere by every letter (and, on a
+    group, every inverse letter), with no skip."""
+    letters = [g for _, g in backend.generators(max_index)]
+    if backend.is_group:
+        letters += [backend.inverse(g) for g in letters]
+    seen = {backend.identity}
+    frontier = [backend.identity]
+    for _ in range(length):
+        frontier = [y for y in {backend.multiply(x, g) for x in frontier for g in letters}
+                    if y not in seen]
+        seen.update(frontier)
+    return sorted(seen)
+
+
+def reference_relation_length(backend, a, b, n, budget):
+    """``ore.alternating_relation_length`` with every level built by
+    ``multiply``, and the same multiply count and budget rule."""
+    env = backend.envelope()
+    x, y = backend.embed_to_envelope(a), backend.embed_to_envelope(b)
+    letters = ((x, env.inverse(x)), (y, env.inverse(y)))
+    A, B = set(letters[0]), set(letters[1])
+    multiplies = 0
+    for k in range(1, n + 1):
+        if k > 1:
+            cost = 2 * (len(A) + len(B))
+            if multiplies + cost > budget:
+                return RelationCheck(None, False, multiplies)
+            multiplies += cost
+            A = {env.multiply(v, s) for v in A for s in letters[(k - 1) % 2]}
+            B = {env.multiply(v, s) for v in B for s in letters[k % 2]}
+        if not A.isdisjoint(B):
+            return RelationCheck(2 * k, True, multiplies)
+    return RelationCheck(None, True, multiplies)
