@@ -47,9 +47,9 @@ class Backend:
         raise NotImplementedError
 
     def right_multiplier(self, y):
-        """The map x -> x*y, for elements x of this backend.  ``y`` is
-        recognised once, here, so a backend can turn a product by one
-        letter into a cheap step; the step itself checks nothing."""
+        """The map x -> x*y.  ``y`` is recognised once, here, where
+        ``multiply`` recognises it at every call; the map checks nothing,
+        so every x it is given must be an element of this backend."""
         return lambda x: self.multiply(x, y)
 
     def inverse(self, x):

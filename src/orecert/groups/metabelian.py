@@ -12,7 +12,7 @@ empty.  The element is a tuple (t, flow), and so its own canonical key.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from ..errors import BackendMismatchError
@@ -71,34 +71,23 @@ class MbBackend(Backend):
     def multiply(self, x: FlowElement, y: FlowElement) -> FlowElement:
         if len(x.t) != self.rank or len(y.t) != self.rank:
             raise BackendMismatchError("rank mismatch")
+        t = tuple(map(add, x.t, y.t))
+        if len(y.flow) == 1:
+            # One edge is a letter a_d^v: the boundary condition puts it at
+            # (0, d) for v = 1 and at (-e_d, d) for v = -1.  So x a_d^v adds v
+            # on (x.t, d) or (t, d), spliced into the sorted flow.
+            ((_, d), v), flow = y.flow[0], x.flow
+            edge = (x.t if v > 0 else t, d)
+            j = bisect_left(flow, edge, key=itemgetter(0))
+            if j < len(flow) and flow[j][0] == edge:
+                w = flow[j][1] + v
+                return FlowElement(t, flow[:j] + (((edge, w),) if w else ()) + flow[j + 1 :])
+            return FlowElement(t, flow[:j] + ((edge, v),) + flow[j:])
         flow = dict(x.flow)
         for (base, d), v in y.flow:
-            edge = (tuple(b + s for b, s in zip(base, x.t)), d)
+            edge = (tuple(map(add, base, x.t)), d)
             flow[edge] = flow.get(edge, 0) + v
-        return FlowElement(
-            tuple(a + b for a, b in zip(x.t, y.t)), _freeze(flow)
-        )
-
-    def right_multiplier(self, y: FlowElement):
-        # One edge carrying +-1 is a letter a_i^v: the boundary condition
-        # puts it at (0, i) for v = 1 and at (-e_i, i) for v = -1.
-        if len(y.flow) == 1 and y.flow[0][1] in (1, -1):
-            (_, i), v = y.flow[0]
-
-            def step(x: FlowElement) -> FlowElement:
-                # t moves by v e_i, and v is added on the edge (t, i) or
-                # (t - e_i, i), spliced into the sorted flow
-                t = x.t[:i] + (x.t[i] + v,) + x.t[i + 1 :]
-                edge = (x.t if v > 0 else t, i)
-                flow = x.flow
-                j = bisect_left(flow, edge, key=itemgetter(0))
-                if j < len(flow) and flow[j][0] == edge:
-                    w = flow[j][1] + v
-                    return FlowElement(t, flow[:j] + (((edge, w),) if w else ()) + flow[j + 1 :])
-                return FlowElement(t, flow[:j] + ((edge, v),) + flow[j:])
-
-            return step
-        return super().right_multiplier(y)
+        return FlowElement(t, _freeze(flow))
 
     def inverse(self, x: FlowElement) -> FlowElement:
         inv_t = tuple(-a for a in x.t)

@@ -472,12 +472,6 @@ class PosMonoidBackend(Backend):
             x = _append_generator(x, q)
         return x
 
-    def right_multiplier(self, y: NormalForm):
-        if len(y) == 1:
-            q = y[0]
-            return lambda x: _append_generator(x, q)
-        return super().right_multiplier(y)
-
     # The element is its own key; kept per class so bench/tracer.py can wrap it.
     def canonical_key(self, x: NormalForm):
         return x

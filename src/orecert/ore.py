@@ -34,7 +34,8 @@ balls are counted by the generating functions of such trees
 (``thompson.posmon_ball_size``).  So a posmon exhaustion that the check
 proves builds no pool at all.  Pools and the check's levels are built by
 ``Backend.right_multiplier`` steps, one per generator letter, and a
-group's pool never steps back along the letter that reached an element.
+group's pool never steps back along the letter that first reached an
+element.
 """
 
 from __future__ import annotations
@@ -120,31 +121,34 @@ def enumerate_pool(backend: Backend, length: int, max_index: int | None = None) 
     Group backends include inverse letters.  The identity is always present.
     Where the backend counts its balls, the count must match the ball.
 
-    The ball grows breadth first, one ``right_multiplier`` step per letter.
-    On a group the letters come in pairs g, g^-1, and an element y first
-    reached as x * l is not multiplied by l^-1: y * l^-1 = x is already in
-    the ball, so the skip loses no element.  A monoid has no inverse
-    letters and skips nothing.
+    The ball grows breadth first by one ``right_multiplier`` step per
+    letter, and each new sphere is kept split by the letter that first
+    reached its elements.  On a group the letters come in pairs g, g^-1 at
+    indices 2j, 2j + 1, and an element y first reached as x * l is not
+    multiplied by l^-1: y * l^-1 = x is already in the ball, so the skip
+    loses no element.  A monoid has no inverse letters and skips nothing.
     """
     _check_pool_bounds(backend, length, max_index)
     letters = [g for _, g in backend.generators(max_index)]
-    if backend.is_group:
+    group = backend.is_group
+    if group:
         letters = [h for g in letters for h in (g, backend.inverse(g))]
-    # (index, step, index of the inverse letter, or -1 on a monoid)
-    steps = [(i, backend.right_multiplier(g), i ^ 1 if backend.is_group else -1)
-             for i, g in enumerate(letters)]
+    steps = [backend.right_multiplier(g) for g in letters]
     seen = {backend.identity}
-    frontier = [(backend.identity, -1)]  # (element, letter index to skip)
+    sphere = [(-1, [backend.identity])]  # (index of the arriving letter, elements)
     for _ in range(length):
-        grown = []
-        for x, skip in frontier:
-            for i, step, back in steps:
-                if i != skip:
+        grown = [[] for _ in letters]
+        for came, xs in sphere:
+            for i, step in enumerate(steps):
+                if group and i == came ^ 1:
+                    continue
+                ys = grown[i]
+                for x in xs:
                     y = step(x)
                     if y not in seen:
                         seen.add(y)
-                        grown.append((y, back))
-        frontier = grown
+                        ys.append(y)
+        sphere = list(enumerate(grown))
     counted = backend.ball_size(length, max_index)
     if counted is not None and counted != len(seen):
         raise VerificationError(

@@ -1,10 +1,14 @@
-"""Letter steps (``Backend.right_multiplier``) against plain ``multiply``.
+"""Letter steps (``Backend.right_multiplier``), letter products, and the
+pool and relation check built from them.
 
-A step recognises its factor once.  On a generator letter or its inverse
-it must give exactly ``multiply(x, y)`` without calling ``multiply``; on
-any other factor it falls back to ``multiply``.  The pool and the relation
-check, which now take their products through such steps, must match
-references that call ``multiply`` for every product and skip nothing.
+A step is the map x -> x*y with y recognised once.  F turns a generator
+letter into a rotation step that never calls ``multiply``; the other
+backends keep the default step, which does.  Every step must give
+``multiply(x, y)``, and MB_m's ``multiply``, which splices a letter's one
+edge into the sorted flow, must give the element of the concatenated
+word.  The pool and the relation check, which take their products
+through steps, must match references that call ``multiply`` for every
+product and skip nothing.
 """
 
 import random
@@ -70,9 +74,8 @@ def test_letter_steps_match_multiply(name, alphabet, monkeypatch):
     calls = _counting_multiply(monkeypatch, backend)
     got = [[backend.right_multiplier(y)(x) for x in xs] for y in gens]
     assert got == want
-    # a letter step is its own product, not a call of multiply; Z^m keeps
-    # the default step, whose product is one tuple sum anyway
-    assert len(calls) == (len(got) * len(xs) if name.startswith("zm") else 0)
+    # an F letter step is a rotation, not a call of multiply
+    assert len(calls) == (0 if name == "f" else len(gens) * len(xs))
 
 
 def test_f_recognises_a_letter_spelled_another_way(monkeypatch):
@@ -94,6 +97,17 @@ def test_other_factors_fall_back_to_multiply(name, alphabet, monkeypatch):
     calls = _counting_multiply(monkeypatch, backend)
     assert [[backend.right_multiplier(y)(x) for x in xs] for y in ys] == want
     assert len(calls) == len(xs) * len(ys)
+
+
+@pytest.mark.parametrize("name, alphabet", BACKENDS, ids=[b[0] for b in BACKENDS])
+def test_letter_products_match_concatenation(name, alphabet):
+    backend = make_backend(name)
+    rng = random.Random(19)
+    for _ in range(60):
+        w = random_word(rng, alphabet, 12)
+        x = backend.from_word(w)
+        for g in alphabet:
+            assert backend.multiply(x, backend.from_word((g,))) == backend.from_word(w + (g,)), (w, g)
 
 
 # (backend, K, largest L)
@@ -137,21 +151,25 @@ def test_relation_check_matches_the_reference(spec):
         assert alternating_relation_length(*args) == reference_relation_length(*args)
 
 
-def test_pool_work_counts(monkeypatch):
-    # Each element of the ball of radius L - 1 but the identity skips the
-    # inverse of the letter that first reached it: |B_(L-1)| - 1 products
-    # fewer than the reference's |B_(L-1)| * 2(K + 1).
-    for name, L, K, products in [("f", 4, 2, 686), ("mb:2", 4, None, 160)]:
-        backend = make_backend(name)
-        calls = []
-        plain = type(backend).right_multiplier
+@pytest.mark.parametrize("name, L, K, products", [
+    # a group skips one product for each element of B_(L-1) but the identity
+    ("f", 4, 2, 686),
+    ("mb:2", 4, None, 160),
+    # a monoid skips nothing
+    ("posmon", 4, 2, 99),
+])
+def test_pool_work_counts(name, L, K, products, monkeypatch):
+    backend = make_backend(name)
+    calls = []
+    plain = type(backend).right_multiplier
 
-        def counted(self, y, plain=plain, calls=calls):
-            step = plain(self, y)
-            return lambda x: calls.append(1) or step(x)
+    def counted(self, y):
+        step = plain(self, y)
+        return lambda x: calls.append(1) or step(x)
 
-        monkeypatch.setattr(type(backend), "right_multiplier", counted)
-        enumerate_pool(backend, L, K)
-        assert len(calls) == products
-        inner = len(enumerate_pool(backend, L - 1, K))
-        assert products == inner * 2 * len(backend.generators(K)) - (inner - 1)
+    monkeypatch.setattr(type(backend), "right_multiplier", counted)
+    enumerate_pool(backend, L, K)
+    assert len(calls) == products
+    inner = len(enumerate_pool(backend, L - 1, K))
+    letters = len(backend.generators(K)) * (2 if backend.is_group else 1)
+    assert products == inner * letters - (inner - 1 if backend.is_group else 0)
