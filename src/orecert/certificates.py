@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 
 from .errors import NotEmbeddableError, OrecertError, VerificationError
-from .folner import check_delta, check_epsilon, folner_ratios
+from .folner import FolnerReport, check_delta, check_epsilon, folner_ratios
 from .groups import alt_trace, make_backend
 from .ore import (
     Exhausted,
@@ -194,13 +194,14 @@ def _ratio_pair(fr: Fraction) -> dict:
     return {"exact": str(fr), "approx": float(fr)}
 
 
-def folner_certificate(backend, generators, E, epsilon, delta) -> dict:
-    report = folner_ratios(backend, E, generators)
-    epsilon_ok = None if epsilon is None else check_epsilon(report, epsilon)
+def folner_certificate(backend, E, report: FolnerReport, epsilon, delta) -> dict:
+    """The document for E, whose ratios ``report`` states: the grower's
+    counts from the CLI, a recount by ``folner_ratios`` from ``verify``."""
+    epsilon_ok = check_epsilon(report, epsilon)
     return {
         "kind": "folner",
         "backend": backend.name,
-        "generators": [label for label, _ in generators],
+        "generators": [s.label for s in report.per_generator],
         "E": [backend.canonical_str(e) for e in E],
         "size": report.size,
         "stats": [
@@ -215,12 +216,11 @@ def folner_certificate(backend, generators, E, epsilon, delta) -> dict:
         ],
         "min_intersection_ratio": _ratio_pair(report.min_intersection_ratio),
         "max_symdiff_ratio": _ratio_pair(report.max_symdiff_ratio),
-        "epsilon": None if epsilon is None else str(epsilon),
+        "epsilon": str(epsilon),
         "delta": None if delta is None else str(delta),
         "epsilon_ok": epsilon_ok,
         "delta_ok": None if delta is None else check_delta(report, delta),
-        # success is the claim that E meets epsilon, derived from the ratios
-        "success": epsilon_ok is True,
+        "success": epsilon_ok,  # the claim that E meets epsilon, from the ratios
         "verified": True,
     }
 
@@ -293,11 +293,6 @@ def _strings(doc: dict, key: str) -> list:
 
 def _backend(doc: dict):
     return make_backend(_get(doc, "backend", str))
-
-
-def _fraction(doc: dict, key: str):
-    text = _get(doc, key, str, optional=True)
-    return None if text is None else Fraction(text)
 
 
 def _instance(doc: dict) -> OreInstance:
@@ -401,13 +396,13 @@ def _check_rel2sol_failure(doc: dict) -> None:
 
 def _check_folner(doc: dict) -> None:
     backend = _backend(doc)
-    _same(doc, folner_certificate(
-        backend,
-        [(label, backend.from_text(label)) for label in _strings(doc, "generators")],
-        [backend.element_from_str(s) for s in _strings(doc, "E")],
-        _fraction(doc, "epsilon"),
-        _fraction(doc, "delta"),
-    ))
+    generators = [(label, backend.from_text(label)) for label in _strings(doc, "generators")]
+    E = [backend.element_from_str(s) for s in _strings(doc, "E")]
+    epsilon = Fraction(_get(doc, "epsilon", str))
+    delta = _get(doc, "delta", str, optional=True)
+    delta = None if delta is None else Fraction(delta)
+    report = folner_ratios(backend, E, generators)  # the one count on this path
+    _same(doc, folner_certificate(backend, E, report, epsilon, delta))
 
 
 def _check_word(derive):

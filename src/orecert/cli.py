@@ -70,7 +70,10 @@ def _ore(args) -> dict:
 
 def _load(path: str):
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise OrecertError(f"{path}: JSON nested too deeply") from None
 
 
 def _extract(args) -> dict:
@@ -92,11 +95,11 @@ def _rel2sol(args) -> dict:
 
 def _folner(args) -> dict:
     backend = make_backend(args.backend)
-    generators = backend.generators(args.pool_idx)
     epsilon = Fraction(args.epsilon)
-    E, _, _ = greedy_folner_search(backend, generators, epsilon, args.budget)
+    E, report, _ = greedy_folner_search(
+        backend, backend.generators(args.pool_idx), epsilon, args.budget)
     delta = None if args.delta is None else Fraction(args.delta)
-    return certs.folner_certificate(backend, generators, E, epsilon, delta)
+    return certs.folner_certificate(backend, E, report, epsilon, delta)
 
 
 def _pool(args) -> dict:

@@ -36,8 +36,6 @@ def _report(labels, size: int, intersections) -> FolnerReport:
     """The report of a set of ``size`` elements whose translate by the
     generator labelled ``labels[i]`` meets it in ``intersections[i]``
     elements."""
-    if not labels:
-        raise ValueError("at least one generator is needed")
     stats = tuple(
         GeneratorStats(
             label, inter, 2 * (size - inter),
@@ -59,6 +57,8 @@ def folner_ratios(backend: Backend, E, generators) -> FolnerReport:
     elements = set(E)
     if not elements:
         raise ValueError("E must be nonempty")
+    if not generators:
+        raise ValueError("at least one generator is needed")
     counts = []
     for label, gen in generators:
         shifted = {backend.multiply(gen, e) for e in elements}
@@ -100,10 +100,14 @@ def greedy_folner_search(backend: Backend, generators, epsilon, budget: int):
     2 (n - min_g I'_g) / n, so comparing (n - min_g I'_g, k) as integers
     picks the element, and the tie, that comparing the exact ratios picks.
     Each element of E and of the frontier is multiplied by each generator
-    once, the first time it is scored (or, for 1, added).
+    once, the first time it is scored (or, for 1, added).  One exact ratio
+    per step decides the target and the best set, and the returned set's
+    report is built once, from its counts, and equals folner_ratios of E.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
+    if not generators:
+        raise ValueError("at least one generator is needed")
     epsilon = Fraction(epsilon)
     labels = [label for label, _ in generators]
     current: dict = {}  # E, as keys in order of addition
@@ -133,20 +137,20 @@ def greedy_folner_search(backend: Backend, generators, epsilon, budget: int):
 
     one = backend.identity
     add(one, counts_with(one))
-    best_size, best_report = 0, None
+    best_ratio = None  # the best set seen is the first best_size of E
     while True:
-        report = _report(labels, len(current), counts)
-        if best_report is None or report.max_symdiff_ratio < best_report.max_symdiff_ratio:
-            best_size, best_report = len(current), report
-        if report.max_symdiff_ratio < epsilon:
-            return sorted(current), report, True
-        if len(current) >= budget or not frontier:
-            return sorted(list(current)[:best_size]), best_report, False
-        n = len(current) + 1
+        size = len(current)
+        ratio = Fraction(2 * (size - min(counts)), size)
+        if ratio < epsilon:
+            return sorted(current), _report(labels, size, counts), True
+        if best_ratio is None or ratio < best_ratio:
+            best_ratio, best_size, best_counts = ratio, size, tuple(counts)
+        if size >= budget or not frontier:
+            return sorted(list(current)[:best_size]), _report(labels, best_size, best_counts), False
         pick = None
         for k in sorted(frontier):
             trial = counts_with(k)
-            score = n - min(trial)
+            score = size + 1 - min(trial)
             if pick is None or score < pick[0]:
                 pick = (score, k, trial)
         _, k, trial = pick

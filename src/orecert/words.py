@@ -66,6 +66,8 @@ class Alphabet:
     @staticmethod
     def named(letters) -> "Alphabet":
         if isinstance(letters, int):
+            if letters > len(_NAMED_POOL):
+                raise ValueError(f"at most {len(_NAMED_POOL)} named generators, got {letters}")
             letters = _NAMED_POOL[:letters]
         return Alphabet("named", tuple(letters))
 
@@ -102,8 +104,8 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
 
     Runs of whitespace and ``*`` act as separators.  Powers are expanded:
     ``a^3`` becomes three letters, ``a^-2`` two inverse letters, ``a^0``
-    nothing.  Raises WordSyntaxError (with position) or
-    UnknownGeneratorError.
+    nothing.  Raises WordSyntaxError (with position), also for a power too
+    large to expand, or UnknownGeneratorError.
     """
     letters: list[Letter] = []
     seen: dict[str, tuple[Generator, int]] = {}  # name as written -> (generator, sign)
@@ -145,7 +147,10 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         if total == 1 or total == -1:
             letters.append((gen, total))
         elif total:
-            letters += [(gen, 1 if total > 0 else -1)] * abs(total)
+            try:
+                letters += [(gen, 1 if total > 0 else -1)] * abs(total)
+            except (OverflowError, MemoryError):
+                raise WordSyntaxError(f"power of {name} too large to expand", start) from None
     return tuple(letters)
 
 

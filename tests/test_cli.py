@@ -527,3 +527,25 @@ def test_relation_check_stays_within_its_budget(monkeypatch):
     )
     assert (code, out) == (3, "exhausted\n")
     assert len(dfs) == 1 and dfs[0].pool_size == 7 and dfs[0].nodes > 0
+
+
+def test_named_rank_above_23_is_a_usage_error(tmp_path):
+    # a..w are the named generators; a rank-24 backend would have lost x
+    for selector in ("zm:24", "mb:24"):
+        for argv in (["pool", "--backend", selector], ["wp", "--backend", selector, "a"]):
+            assert run(*argv) == (2, "", "error: at most 23 named generators, got 24\n")
+        path = tmp_path / "pool.json"
+        _, out, _ = run("pool", "--backend", selector.replace("24", "23"), "--pool-len", "0",
+                        "--format", "json")
+        path.write_text(out.replace(":23", ":24"))
+        assert run("verify", str(path)) == (
+            1, "verification failed: malformed certificate: at most 23 named generators, got 24\n",
+            "")
+
+
+def test_oversized_power_is_a_usage_error():
+    for word in ("a^99999999999999999999999", "b a^-4611686018427387904"):
+        code, out, err = run("wp", "--backend", "zm:2", word)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: power of a too large to expand (at position ")
+        assert err.count("\n") == 1

@@ -1,10 +1,11 @@
 import io
+import json
 from fractions import Fraction
 
 import folner_reference
 import pytest
 
-from orecert import cli, folner
+from orecert import certificates, cli, folner
 from orecert.errors import VerificationError
 from orecert.folner import (
     check_delta,
@@ -176,3 +177,64 @@ def test_non_injective_translation_is_rejected(monkeypatch):
     out, err = io.StringIO(), io.StringIO()
     code = cli.main(["folner", "--backend", "collapsing", "--epsilon", "1/10"], out, err)
     assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("backend,generators,epsilon,budget,success", [
+    (ZM, ZM.generators(), Fraction(1, 2), 200, True),
+    (ZM, ZM.generators(), Fraction(21, 10), 5, True),
+    (MbBackend(2), MbBackend(2).generators(), Fraction(1, 2), 30, False),
+    (PM, PM.generators(1), Fraction(1, 10), 12, False),
+])
+def test_grower_builds_one_report_per_call(monkeypatch, backend, generators, epsilon,
+                                           budget, success):
+    built = []
+    report_class = folner.FolnerReport
+
+    def counted(*args):
+        built.append(args)
+        return report_class(*args)
+
+    monkeypatch.setattr(folner, "FolnerReport", counted)
+    E, report, ok = greedy_folner_search(backend, generators, epsilon, budget)
+    assert ok is success
+    assert len(built) == 1
+    assert report == folner_ratios(backend, E, generators)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--backend", "zm:2", "--epsilon", "1/2", "--budget", "100"], 0),
+    (["--backend", "mb:2", "--epsilon", "1/2", "--budget", "30", "--delta", "1/3"], 3),
+    (["--backend", "posmon", "--epsilon", "1/10", "--budget", "12", "--pool-idx", "2"], 3),
+])
+def test_folner_counts_once_per_path(monkeypatch, tmp_path, argv, code):
+    # folner formats the grower's report; verify recounts with folner_ratios
+    calls = []
+    ratios = folner.folner_ratios
+
+    def counted(*args):
+        calls.append(args)
+        return ratios(*args)
+
+    monkeypatch.setattr(folner, "folner_ratios", counted)
+    monkeypatch.setattr(certificates, "folner_ratios", counted)
+    out = io.StringIO()
+    assert cli.main(["folner", *argv, "--format", "json"], out, io.StringIO()) == code
+    assert calls == []
+    path = tmp_path / "folner.json"
+    path.write_text(out.getvalue())
+    out = io.StringIO()
+    assert cli.main(["verify", str(path)], out, io.StringIO()) == 0
+    assert out.getvalue() == "verified: ok\n"
+    assert len(calls) == 1
+
+
+def test_folner_document_without_epsilon_fails_verify(tmp_path):
+    # what a document with no epsilon held: no epsilon_ok, and no success
+    out = io.StringIO()
+    cli.main(["folner", "--backend", "zm:2", "--epsilon", "1/2", "--format", "json"], out)
+    doc = {**json.loads(out.getvalue()), "epsilon": None, "epsilon_ok": None, "success": False}
+    path = tmp_path / "folner.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert cli.main(["verify", str(path)], out, io.StringIO()) == 1
+    assert out.getvalue() == "verification failed: field 'epsilon' must be str\n"

@@ -13,6 +13,7 @@ import copy
 import io
 import json
 import random
+import re
 
 from orecert.certificates import verify_certificate
 from orecert.cli import main
@@ -139,3 +140,39 @@ def test_named_edits_are_rejected(tmp_path):
     assert not _verdict({**by_kind["folner"], "success": None})
     assert not _verdict({**by_kind["solution"], "bounds": "x"})
     assert not _verdict({**by_kind["folner"], "epsilon": "1/0"})
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    return main(list(argv), stdout=out, stderr=err), out.getvalue(), err.getvalue()
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for command in ("verify", "extract"):
+        assert _cli(command, str(path)) == (2, "", f"error: {path}: JSON nested too deeply\n")
+
+
+def test_oversized_powers_in_documents_fail_verification(tmp_path):
+    # exponents that fail before any allocation (see tests/test_words.py)
+    by_kind = {}
+    for doc in _documents(tmp_path):
+        by_kind.setdefault(doc["kind"], doc)
+    assert {by_kind[k]["backend"] for k in ("exhausted", "folner")} == {"posmon"}
+    power = "^" + str(10**23)
+    edits = [
+        ("wp", ("word",), "a" + power),
+        ("canon", ("word",), "x0^-4611686018427387904"),
+        ("trace", ("word",), "x0 x1" + power),
+        ("alt-check", ("word",), "x1" + power),
+        ("exhausted", ("a",), "x0" + power),
+        ("folner", ("generators", 0), "x0" + power),
+    ]
+    path = tmp_path / "doc.json"
+    for kind, field, value in edits:
+        path.write_text(json.dumps(_replaced(by_kind[kind], [(field, value)])))
+        code, out, err = _cli("verify", str(path))
+        assert (code, err) == (1, ""), kind
+        assert re.fullmatch(r"verification failed: power of (a|x\d+) too large to expand "
+                            r"\(at position \d+\)\n", out), out

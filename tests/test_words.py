@@ -161,6 +161,25 @@ def test_named_alphabet_rejects_x():
         Alphabet.named("ax")
 
 
+def test_named_alphabet_holds_at_most_23_letters():
+    assert Alphabet.named(23).names[-1] == "w"
+    with pytest.raises(ValueError, match="at most 23 named generators, got 24"):
+        Alphabet.named(24)
+
+
+# Only exponents that fail before any allocation: 10**23 does not fit an
+# index, and a list of 2**62 letters is refused by its size alone.
+@pytest.mark.parametrize("exponent", [2**62, 10**23])
+@pytest.mark.parametrize("text,alphabet,start", [
+    ("a b^{}", AB, 2), ("a B^-{}", AB, 2), ("x0 x12^{}", X, 3), ("x1^-{}", X, 0),
+])
+def test_oversized_power_is_a_syntax_error(exponent, text, alphabet, start):
+    name = text.split()[-1].split("^")[0]
+    with pytest.raises(WordSyntaxError, match=rf"power of {name} too large to expand") as info:
+        parse_word(text.format(exponent), alphabet)
+    assert info.value.position == start
+
+
 # -- differential against the previous parser -----------------------------------
 
 INDEXED_TOKENS = ["x0", "x1", "x3", "x12", "x007", "x2^3", "x1^-2", "x0^+1", "x4^0", "x5^-10"]
