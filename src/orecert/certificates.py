@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 
 from .errors import NotEmbeddableError, OrecertError, VerificationError
-from .folner import FolnerReport, check_delta, check_epsilon, folner_ratios
+from .folner import FolnerReport, check_delta, check_epsilon, folner_ratios, parse_ratio
 from .groups import alt_trace, make_backend
 from .ore import (
     Exhausted,
@@ -398,9 +398,9 @@ def _check_folner(doc: dict) -> None:
     backend = _backend(doc)
     generators = [(label, backend.from_text(label)) for label in _strings(doc, "generators")]
     E = [backend.element_from_str(s) for s in _strings(doc, "E")]
-    epsilon = Fraction(_get(doc, "epsilon", str))
+    epsilon = parse_ratio("epsilon", _get(doc, "epsilon", str))
     delta = _get(doc, "delta", str, optional=True)
-    delta = None if delta is None else Fraction(delta)
+    delta = None if delta is None else parse_ratio("delta", delta)
     report = folner_ratios(backend, E, generators)  # the one count on this path
     _same(doc, folner_certificate(backend, E, report, epsilon, delta))
 

@@ -17,11 +17,10 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import certificates as certs
 from .errors import NotARelationError, OrecertError, VerificationError
-from .folner import greedy_folner_search
+from .folner import greedy_folner_search, parse_ratio
 from .groups import make_backend
 from .ore import Exhausted, make_instance, solve
 from .words import Alphabet, parse_word
@@ -95,10 +94,10 @@ def _rel2sol(args) -> dict:
 
 def _folner(args) -> dict:
     backend = make_backend(args.backend)
-    epsilon = Fraction(args.epsilon)
+    epsilon = parse_ratio("epsilon", args.epsilon)
     E, report, _ = greedy_folner_search(
         backend, backend.generators(args.pool_idx), epsilon, args.budget)
-    delta = None if args.delta is None else Fraction(args.delta)
+    delta = None if args.delta is None else parse_ratio("delta", args.delta)
     return certs.folner_certificate(backend, E, report, epsilon, delta)
 
 

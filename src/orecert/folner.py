@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import VerificationError
+from .errors import OrecertError, VerificationError
 from .groups.base import Backend
 
 
@@ -66,6 +66,16 @@ def folner_ratios(backend: Backend, E, generators) -> FolnerReport:
             raise VerificationError(f"left translation by {label} not injective")
         counts.append(len(shifted & elements))
     return _report([label for label, _ in generators], len(elements), counts)
+
+
+def parse_ratio(name: str, text: str) -> Fraction:
+    """``text``, an integer, a decimal or p/q, as an exact ratio.  Exponent
+    notation is refused before ``Fraction`` reads it, since ``Fraction``
+    builds 10**|exponent| first: ``1e-3000000`` would take seconds."""
+    if "e" in text or "E" in text:
+        raise OrecertError(
+            f"{name}: exponent notation is not accepted; give an integer, a decimal or p/q")
+    return Fraction(text)
 
 
 def check_delta(report: FolnerReport, delta) -> bool:

@@ -15,15 +15,16 @@ and the right factor's domain tree are refined to their common refinement
 and the matching carets are copied onto the outer trees.  With the
 generator pairs below this satisfies x_j x_i = x_i x_{j+1} for i < j, which
 is the defining relation family of F and of its positive monoid.  A product
-with one generator letter is a local edit instead (``_times_letter``):
-right-multiplying by x_k^{+-1} only splits or joins two trees of the range
-forest, the subtrees hanging off the range tree's right spine (Belk and
-Brown, "Forest diagrams for elements of Thompson's group F", IJAC 15,
-2005), so it rotates one caret of the range tree and contracts the few
-carets that the rotation leaves common to both trees.  ``from_word``
-hands each letter's index and exponent straight to that step, folding
-blocks of 128 letters from the identity, and multiplies the block
-results pairwise.  No helper recurses, so trees of any depth are fine.
+with one generator letter is a local edit instead: right-multiplying by
+x_k splits tree k of the range forest, the subtrees hanging off the range
+tree's right spine, and x_k^-1 joins trees k and k+1 (Belk and Brown,
+"Forest diagrams for elements of Thompson's group F", IJAC 15, 2005); then
+the few carets the edit leaves common to both trees are contracted.
+``_times_letter`` makes that edit on the two strings, for single products.
+``from_word`` freely reduces the word, folds each block of 128 letters
+from the identity with ``_fold``, which keeps the range tree as a list of
+its forest's trees between letters, and multiplies the block results
+pairwise.  No helper recurses, so trees of any depth are fine.
 
 The positive monoid backend keeps elements in rewriting normal form: the
 rule x_j x_i -> x_i x_{j+1} (i < j) is terminating and confluent on
@@ -164,9 +165,9 @@ def _as_letter(x: TreePair) -> tuple[int, int] | None:
         e = -1
     else:
         return None
+    # k disjoint matches of CL in the first 2k characters tile them
     k = (len(domain) - 5) // 2
-    spine = "CL" * k
-    if domain.startswith(spine) and rng.startswith(spine):
+    if domain.count("CL", 0, 2 * k) == k and rng.count("CL", 0, 2 * k) == k:
         return k, e
     return None
 
@@ -199,6 +200,11 @@ def _times_letter(x: TreePair, k: int, e: int) -> TreePair:
     on the same side.  Each contraction removes a caret that some letter
     added, so over a whole word the contractions cost amortised linear
     time.
+
+    This is the step for single products, ``multiply`` and
+    ``right_multiplier`` by a letter, which apply one letter to many small
+    elements.  ``from_word`` folds whole words with ``_fold`` instead, which
+    keeps the range tree as a forest across letters.
     """
     domain, rng = x
     p = 0
@@ -249,11 +255,105 @@ def _times_letter(x: TreePair, k: int, e: int) -> TreePair:
     return TreePair(domain, rng)
 
 
+def _fold(letters: list[int]) -> TreePair:
+    """The reduced pair of a word folded from the identity, one letter at
+    a time; ``letters`` holds x_k as k and x_k^-1 as ~k.
+
+    The fold keeps the pair as (D, S): D is the domain tree and S the range
+    forest, the subtrees S_0 .. S_(m-1) that hang off the range tree's right
+    spine, so R = C S_0 C S_1 ... C S_(m-1) L.  Right-multiplying by x_k
+    splits tree k and by x_k^-1 joins trees k and k+1 (Belk and Brown), so
+    each step of ``_times_letter`` becomes an edit of one or two list
+    entries: the spine is list indexing, and D changes only where a caret
+    is added or contracted.  With m = len(S):
+
+    - k >= m: graft the rest of x_k^e's trees onto the last leaf of both
+      trees, as ``_times_letter`` does: S gains k - m entries L, then L, L
+      for x_k or CLL for x_k^-1;
+    - x_k, S_k = L: add a caret over S_k's leaf, leaf q of D, where q
+      counts the leaves of S_0 .. S_(k-1), then split it: S_k, S_(k+1) = L, L;
+    - x_k, S_k = C A B: S_k, S_(k+1) = A, B;
+    - x_k^-1, m = k+1: add a caret at the last leaf of both trees, then
+      join: S_k = C S_k L;
+    - x_k^-1 otherwise: S_k = C S_k S_(k+1).
+
+    The argument of ``_times_letter`` carries over: the pair stays reduced
+    once the one new caret that can be a cherry (a caret over two leaves)
+    is contracted where it is common to both trees, and then its parents.
+    Where a caret was added, no common cherry arises.  A split's new caret
+    is the spine caret over B, a cherry only when B = L and it ends the
+    spine; contracting it pops S and turns D's final CLL into L.  A join's
+    new caret is a cherry only when S_k and S_(k+1) were both L; it
+    contracts to S_k = L and, at leaf q of D, CLL to L.  The next common
+    cherry, if any, is the new leaf's parent in both trees.  In the range
+    tree that parent is a spine caret, a cherry only at the spine end, over
+    S's last entry L and the last leaf, where D's cherry over the same
+    leaves is a final CLL: so the climb pops S while S ends in L and D in
+    CLL.  Each contraction removes a caret that some letter added, so over
+    a word the contractions cost amortised linear time.
+
+    ``_times_letter`` stays the step for single products: turning a pair
+    into its forest and back costs more than one step on the strings, so
+    the forest pays only where it is kept across letters.
+    """
+    domain, trees = "L", []
+    for c in letters:
+        m = len(trees)
+        if c >= 0:
+            k = c
+            if k >= m:
+                j = k - m
+                domain = domain[:-1] + "CL" * j + "CCLLL"
+                trees += ["L"] * (j + 2)
+                continue
+            t = trees[k]
+            if t == "L":
+                # a subtree of n characters has (n + 1) / 2 leaves
+                q = _leaf_at(domain, (sum(map(len, trees[:k])) + k) // 2)
+                domain = domain[:q] + "CLL" + domain[q + 1 :]
+                trees.insert(k, "L")
+                continue
+            a_end = _subtree_end(t, 1)
+            b = t[a_end:]
+            trees[k : k + 1] = t[1:a_end], b
+            if b != "L" or k + 1 < m:
+                continue
+        else:
+            k = ~c
+            if k + 1 >= m:
+                if k >= m:
+                    j = k - m
+                    domain = domain[:-1] + "CL" * j + "CLCLL"
+                    trees += ["L"] * j + ["CLL"]
+                else:
+                    domain = domain[:-1] + "CLL"
+                    trees[k] = "C" + trees[k] + "L"
+                continue
+            s = trees[k]
+            t = trees.pop(k + 1)
+            if s != "L" or t != "L":
+                trees[k] = "C" + s + t
+                continue
+            d = _leaf_at(domain, (sum(map(len, trees[:k])) + k) // 2) - 1
+            if not domain.startswith("CLL", d):
+                trees[k] = "CLL"
+                continue
+            domain = domain[:d] + "L" + domain[d + 3 :]
+            if k + 1 < len(trees):
+                continue
+        # a new or contracted cherry ends the spine: contract it, and then
+        # its parents, while D's last two leaves are siblings too
+        while trees and trees[-1] == "L" and domain.endswith("CLL"):
+            trees.pop()
+            domain = domain[:-3] + "L"
+    return TreePair(domain, "".join(["C" + s for s in trees]) + "L")
+
+
 # Letters folded one at a time before products turn pairwise.  A letter
-# step copies its operand's strings, so one fold over a whole word is
-# quadratic where the trees keep growing.  Blocks of 32 to 128 letters
-# time alike on random words; 128 was the fastest on the f-words benchmark
-# and on x0^100000 (BENCH_16.json).
+# step may still copy the domain string or a subtree of the range forest,
+# so one fold over a whole word is quadratic where the trees keep growing.
+# Blocks of 32 to 128 letters timed alike on random words; 128 was the
+# fastest on the f-words benchmark and on x0^100000 (BENCH_16.json).
 _BLOCK = 128
 
 
@@ -277,17 +377,21 @@ class FBackend(Backend):
         return TreePair("CL" * i + "CCLLL", "CL" * i + "CLCLL")
 
     def from_word(self, w: Word) -> TreePair:
-        # Each block folds one letter at a time, every step a local edit;
-        # the blocks then multiply pairwise, level by level, so a power's
-        # trees grow one letter at a time only within a block.  An empty
-        # word is one empty block.
+        # The word is freely reduced as it is read, since F is a group.
+        # Each block of the reduced word folds on the range forest, one
+        # letter at a time, every step a local edit; the blocks then
+        # multiply pairwise, level by level, so a power's trees grow one
+        # letter at a time only within a block.  An empty word is one empty
+        # block.
         position = self.alphabet.position
-        xs = []
-        for i in range(0, max(len(w), 1), _BLOCK):
-            x = TreePair("L", "L")
-            for gen, e in w[i : i + _BLOCK]:
-                x = _times_letter(x, position(gen), e)
-            xs.append(x)
+        letters: list[int] = []
+        for gen, e in w:
+            c = position(gen) if e > 0 else ~position(gen)
+            if letters and letters[-1] == ~c:
+                letters.pop()
+            else:
+                letters.append(c)
+        xs = [_fold(letters[i : i + _BLOCK]) for i in range(0, max(len(letters), 1), _BLOCK)]
         while len(xs) > 1:
             pairs = [self.multiply(x, y) for x, y in zip(xs[::2], xs[1::2])]
             xs = pairs + xs[-1:] if len(xs) % 2 else pairs

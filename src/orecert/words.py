@@ -13,7 +13,11 @@ Word grammar::
     WORD   := (LETTER SEP?)*
     LETTER := NAME ("^" SIGN? DIGITS)?
     NAME   := [a-z] | [A-Z] | "x" DIGITS
+    DIGITS := [0-9]+
     SEP    := whitespace | "*"
+
+Digits are the ASCII ones only: other Unicode digits (``²``, ``٣``) are
+not digits here.
 
 The letter ``x`` is reserved for the indexed family and is therefore not a
 valid named generator.
@@ -43,6 +47,7 @@ Letter = tuple[Generator, int]
 Word = tuple[Letter, ...]
 
 _NAMED_POOL = "abcdefghijklmnopqrstuvw"  # 'x' reserved for the indexed family
+_DIGITS = frozenset("0123456789")  # str.isdigit would take any Unicode digit
 
 
 class Alphabet:
@@ -108,6 +113,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     large to expand, or UnknownGeneratorError.
     """
     letters: list[Letter] = []
+    digits = _DIGITS
     seen: dict[str, tuple[Generator, int]] = {}  # name as written -> (generator, sign)
     i, n = 0, len(text)
     while i < n:
@@ -116,9 +122,9 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             i += 1
             continue
         start = i
-        if ch == "x" and i + 1 < n and text[i + 1].isdigit():
+        if ch == "x" and i + 1 < n and text[i + 1] in digits:
             i += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in digits:
                 i += 1
         elif ch.isalpha() and ch.isascii():
             i += 1
@@ -137,7 +143,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
                 psign = -1 if text[i] == "-" else 1
                 i += 1
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in digits:
                 j += 1
             if j == i:
                 raise WordSyntaxError("expected digits after '^'", i)

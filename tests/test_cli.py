@@ -543,6 +543,20 @@ def test_named_rank_above_23_is_a_usage_error(tmp_path):
             "")
 
 
+def test_a_non_ascii_digit_is_a_usage_error(tmp_path):
+    assert run("wp", "--backend", "f", "x\u00b2") == (
+        2, "", "error: generator 'x' not in alphabet (at position 0)\n")
+    assert run("wp", "--backend", "f", "x0^\u00b2") == (
+        2, "", "error: expected digits after '^' (at position 3)\n")
+    # x followed by an Arabic-Indic three once read as x3
+    _, out, _ = run("wp", "--backend", "f", "x3", "--format", "json")
+    path = tmp_path / "wp.json"
+    path.write_text(out.replace('"x3"', '"x\\u0663"'))
+    assert json.loads(path.read_text())["word"] == "x\u0663"
+    assert run("verify", str(path)) == (
+        1, "verification failed: generator 'x' not in alphabet (at position 0)\n", "")
+
+
 def test_oversized_power_is_a_usage_error():
     for word in ("a^99999999999999999999999", "b a^-4611686018427387904"):
         code, out, err = run("wp", "--backend", "zm:2", word)

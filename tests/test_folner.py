@@ -6,12 +6,13 @@ import folner_reference
 import pytest
 
 from orecert import certificates, cli, folner
-from orecert.errors import VerificationError
+from orecert.errors import OrecertError, VerificationError
 from orecert.folner import (
     check_delta,
     check_epsilon,
     folner_ratios,
     greedy_folner_search,
+    parse_ratio,
 )
 from orecert.groups import Backend, MbBackend, PosMonoidBackend, ZmBackend
 
@@ -238,3 +239,27 @@ def test_folner_document_without_epsilon_fails_verify(tmp_path):
     out = io.StringIO()
     assert cli.main(["verify", str(path)], out, io.StringIO()) == 1
     assert out.getvalue() == "verification failed: field 'epsilon' must be str\n"
+
+
+def test_exponent_notation_in_a_ratio_is_refused(tmp_path):
+    # Fraction("1e-3000000") builds 10**3000000 before anything reads it
+    message = "exponent notation is not accepted; give an integer, a decimal or p/q"
+    assert parse_ratio("epsilon", "1/2") == Fraction(1, 2)
+    assert parse_ratio("delta", "0.25") == Fraction(1, 4)
+    with pytest.raises(OrecertError, match=message):
+        parse_ratio("epsilon", "1e-3000000")
+    base = ["folner", "--backend", "zm:2", "--budget", "5"]
+    for name, argv in (("epsilon", ["--epsilon", "1e-3000000"]),
+                       ("delta", ["--epsilon", "1/2", "--delta", "1e-3000000"])):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(base + argv, out, err) == 2
+        assert (out.getvalue(), err.getvalue()) == ("", f"error: {name}: {message}\n")
+    out = io.StringIO()
+    cli.main(base + ["--epsilon", "1/2", "--delta", "1/3", "--format", "json"], out)
+    for name in ("epsilon", "delta"):
+        doc = {**json.loads(out.getvalue()), name: "1e-3000000"}
+        path = tmp_path / "folner.json"
+        path.write_text(json.dumps(doc))
+        verdict = io.StringIO()
+        assert cli.main(["verify", str(path)], verdict, io.StringIO()) == 1
+        assert verdict.getvalue() == f"verification failed: {name}: {message}\n"

@@ -18,8 +18,8 @@ from orecert.groups import (
     tree_from_str,
     tree_leaves,
 )
-from orecert.groups.thompson import _times_letter
-from orecert.words import Generator, invert_word
+from orecert.groups.thompson import _fold, _times_letter
+from orecert.words import Generator, free_reduce, invert_word
 
 FB = FBackend()
 PM = PosMonoidBackend()
@@ -165,25 +165,27 @@ def test_from_word_at_block_edges_equals_the_left_fold(length):
 
 
 def test_from_word_work_grows_as_n_log_n(monkeypatch):
-    # A letter step copies its operand's strings, so one fold over a whole
-    # word whose trees keep growing copies n^2 characters, and so does a
-    # fold of the block results.  Blocks multiplied pairwise hand n log n
-    # characters to the letter steps and general products together: on
-    # these words, four times the letters take about 4 times the work, a
-    # fold of the letters 16 times, and a fold of the block results about
-    # 8 times on the powers.
+    # A letter step of the fold copies at most its trees' characters, and
+    # each block's result stands in for that bound: its letters times its
+    # trees' size.  So one fold over a whole word whose trees keep growing
+    # counts n^2 characters, and so does a fold of the block results.
+    # Blocks multiplied pairwise hand n log n characters to the folds and
+    # general products together: on these words, four times the letters
+    # take about 4 times the work, a fold of the letters 16 times, and a
+    # fold of the block results about 8 times on the powers.
     handed = [0]
-    times_letter, refine = thompson._times_letter, thompson._refine
+    fold, refine = thompson._fold, thompson._refine
 
-    def counted_times_letter(x, k, e):
-        handed[0] += len(x.domain) + len(x.range)
-        return times_letter(x, k, e)
+    def counted_fold(letters):
+        x = fold(letters)
+        handed[0] += len(letters) * (len(x.domain) + len(x.range))
+        return x
 
     def counted_refine(a, b):
         handed[0] += len(a) + len(b)
         return refine(a, b)
 
-    monkeypatch.setattr(thompson, "_times_letter", counted_times_letter)
+    monkeypatch.setattr(thompson, "_fold", counted_fold)
     monkeypatch.setattr(thompson, "_refine", counted_refine)
     rng = random.Random(8)
     pool = indexed_letters(3)
@@ -198,6 +200,72 @@ def test_from_word_work_grows_as_n_log_n(monkeypatch):
             FB.from_word(make(n))
             work.append(handed[0])
         assert work[1] < 6 * work[0], work
+
+
+def _codes(w):
+    return [g.index if e > 0 else ~g.index for g, e in w]
+
+
+def _letter_steps(w):
+    x = FB.identity
+    for g, e in w:
+        x = _times_letter(x, g.index, e)
+    return x
+
+
+def test_fold_equals_the_letter_steps_and_the_reference():
+    # Indices up to 6 reach past the spine of most short prefixes, and
+    # w w^-1 contracts whole subtrees back down to the identity.
+    ref = f_reference.FBackend()
+    rng = random.Random(21)
+    pool = indexed_letters(6)
+    identities = 0
+    for t in range(300):
+        w = random_word(rng, pool, 40)
+        if t % 2:
+            w += invert_word(w)
+        codes = _codes(w)
+        x = FB.identity
+        for n, (g, e) in enumerate(w, 1):
+            x = _times_letter(x, g.index, e)
+            if t < 100 or n == len(w):
+                assert _fold(codes[:n]) == x, w[:n]
+        assert _fold(_codes(free_reduce(w))) == x, w
+        assert FB.canonical_str(x) == ref.canonical_str(ref.from_word(w)), w
+        identities += x == FB.identity
+    assert identities >= 150
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_fold_of_a_power_and_its_inverse_is_the_identity(k):
+    ref = f_reference.FBackend()
+    for n in (1, 2, 3, 10, 127, 300):
+        for e in (1, -1):
+            power = ((Generator("x", k), e),) * n
+            x = _fold(_codes(power))
+            assert x == _letter_steps(power)
+            if n <= 127:
+                assert FB.canonical_str(x) == ref.canonical_str(ref.from_word(power))
+            w = power + invert_word(power)
+            assert _fold(_codes(w)) == FB.identity
+            assert _fold(_codes(free_reduce(w))) == FB.identity  # the empty word
+
+
+def test_from_word_folds_the_freely_reduced_word(monkeypatch):
+    handed = []
+    fold = thompson._fold
+
+    def recorded(letters):
+        handed.append(list(letters))
+        return fold(letters)
+
+    monkeypatch.setattr(thompson, "_fold", recorded)
+    w = FB.parse("x0 x1 x1^-1 x2 x2^-1 x0^-1 x3 x4^-1 x4 x0^-1")
+    assert FB.from_word(w) == _letter_steps(w)
+    assert handed == [[3, ~0]]
+    handed.clear()
+    assert FB.from_word(FB.parse("x2^300 x2^-300")) == FB.identity
+    assert handed == [[]]
 
 
 def run(*argv):

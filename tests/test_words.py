@@ -80,6 +80,20 @@ def test_parse_syntax_error_has_position():
         parse_word("a^", AB)
 
 
+@pytest.mark.parametrize("text,alphabet,error,position", [
+    ("x\u00b2", X, UnknownGeneratorError, 0),  # superscript two
+    ("x0^\u00b2", X, WordSyntaxError, 3),
+    ("x1 x\u0663", X, UnknownGeneratorError, 3),  # Arabic-Indic three
+    ("x0^-\u0663", X, WordSyntaxError, 4),
+    ("a^\u00b2", AB, WordSyntaxError, 2),
+    ("b x\u0663", AB, UnknownGeneratorError, 2),
+])
+def test_only_ascii_digits_are_digits(text, alphabet, error, position):
+    with pytest.raises(error) as info:
+        parse_word(text, alphabet)
+    assert str(info.value).endswith(f"(at position {position})")
+
+
 def test_print_parse_roundtrip_random():
     rng = random.Random(2024)
     gens = [Generator("a"), Generator("b"), Generator("x", 0), Generator("x", 12)]
