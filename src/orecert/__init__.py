@@ -29,8 +29,6 @@ from .words import (
     Generator,
     Word,
     cyclic_shift,
-    free_reduce,
-    invert_word,
     is_alternating,
     parse_word,
     print_word,

@@ -1,5 +1,6 @@
 """Monoid and group backends sharing one element-arithmetic contract."""
 
+from ..words import parse_int
 from .abelian import ZmBackend
 from .base import Backend
 from .metabelian import FlowElement, MbBackend, boundary_defect
@@ -20,9 +21,9 @@ def make_backend(selector: str) -> Backend:
     or ``posmon``."""
     kind, colon, arg = selector.partition(":")
     if kind == "zm":
-        return ZmBackend(int(arg) if arg else 2)
+        return ZmBackend(parse_int(arg) if arg else 2)
     if kind == "mb":
-        return MbBackend(int(arg) if arg else 2)
+        return MbBackend(parse_int(arg) if arg else 2)
     if kind == "f" and not colon:
         return FBackend()
     if kind == "posmon" and not colon:

@@ -15,7 +15,7 @@ indexed one, x0, x1 when K is None) serve every backend.
 from __future__ import annotations
 
 from ..errors import UnsupportedOperationError
-from ..words import Alphabet, Word, parse_word
+from ..words import Alphabet, Word, parse_int, parse_word
 
 
 class Backend:
@@ -130,4 +130,4 @@ def vector_from_str(s: str) -> tuple[int, ...]:
     inner = body[1:-1]
     if not inner:
         return ()
-    return tuple(int(c) for c in inner.split(","))
+    return tuple(map(parse_int, inner.split(",")))

@@ -16,7 +16,7 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from ..errors import BackendMismatchError
-from ..words import Alphabet, Generator, Word
+from ..words import Alphabet, Generator, Word, parse_int
 from .base import Backend, vector_from_str, vector_str
 
 # An edge (base, d) runs from vertex `base` to `base + e_d`.
@@ -126,7 +126,7 @@ class MbBackend(Backend):
                 base_part, _, name = inner.rpartition(",")
                 base = vector_from_str(base_part)
                 d = self.alphabet.position(Generator(name))
-                flow[(base, d)] = int(value)
+                flow[(base, d)] = parse_int(value)
         x = FlowElement(t, _freeze(flow))
         if boundary_defect(x):
             raise ValueError(f"flow violates the boundary condition: {s!r}")

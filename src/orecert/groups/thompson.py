@@ -38,7 +38,7 @@ from operator import add
 from typing import NamedTuple
 
 from ..errors import NegativeExponentError
-from ..words import Alphabet, Word
+from ..words import Alphabet, Letter, Word
 from .base import Backend
 
 
@@ -382,11 +382,16 @@ class FBackend(Backend):
         # letter at a time, every step a local edit; the blocks then
         # multiply pairwise, level by level, so a power's trees grow one
         # letter at a time only within a block.  An empty word is one empty
-        # block.
+        # block.  Each distinct letter is checked against the alphabet and
+        # coded once (x_k as k, x_k^-1 as ~k), in the order it first occurs.
         position = self.alphabet.position
+        code: dict[Letter, int] = {}
         letters: list[int] = []
-        for gen, e in w:
-            c = position(gen) if e > 0 else ~position(gen)
+        for letter in w:
+            c = code.get(letter)
+            if c is None:
+                gen, e = letter
+                c = code[letter] = position(gen) if e > 0 else ~position(gen)
             if letters and letters[-1] == ~c:
                 letters.pop()
             else:

@@ -103,6 +103,11 @@ def _leftmost_conjugation_site(w: Word) -> tuple[int, int]:
     )
 
 
+def _unconfirmed(w: Word) -> VerificationError:
+    # Formatted only when raised: the word can be long.
+    return VerificationError(f"trace of {print_word(w)} not confirmed by the tree-pair backend")
+
+
 def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
     """Certify that an alternating word is nontrivial in F.
 
@@ -112,7 +117,6 @@ def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
     if not (is_alternating(w) or is_alternating(w, cyclic=True)):
         raise NotAlternatingError(f"not an alternating word: {print_word(w)!r}")
     fb = backend or FBackend()
-    unconfirmed = f"trace of {print_word(w)} not confirmed by the tree-pair backend"
     steps: list[TraceStep] = []
     current = w
     while True:
@@ -130,7 +134,7 @@ def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
         if alpha > 0:
             shifted = shift_word(current, -alpha)
             if fb.is_identity(fb.from_word(current)) != fb.is_identity(fb.from_word(shifted)):
-                raise VerificationError(unconfirmed)
+                raise _unconfirmed(w)
             steps.append(TraceStep("shift", current, shifted, alpha=alpha))
             current = shifted
         p, gap = _leftmost_conjugation_site(current)
@@ -143,7 +147,7 @@ def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
             raise VerificationError("malformed conjugation site")
         raised = shift_word(v, 1)
         if fb.from_word((_X0_INV,) + v + (_X0,)) != fb.from_word(raised):
-            raise VerificationError(unconfirmed)
+            raise _unconfirmed(w)
         replaced = concat(raised, tail)
         steps.append(
             TraceStep(

@@ -1,8 +1,10 @@
 """Generator alphabets and words with +/-1 exponents.
 
-A word is a tuple of (Generator, exponent) pairs with exponents exactly +1
-or -1; powers in the input syntax are expanded at parse time so the
-representation invariant stays trivial.  Two alphabet styles exist:
+A word is a tuple of letters ``(Generator, e)`` with e exactly +1 or -1;
+powers in the input syntax are expanded at parse time so the
+representation invariant stays trivial.  ``Generator`` is a NamedTuple, so
+generators and letters compare, order and hash as plain tuples, by
+``(name, index)``.  Two alphabet styles exist:
 
 * named: single lowercase letters (``a``, ``b``, ...), where an uppercase
   letter is accepted as a synonym for the inverse (``A`` means ``a^-1``);
@@ -19,20 +21,24 @@ Word grammar::
 Digits are the ASCII ones only: other Unicode digits (``²``, ``٣``) are
 not digits here.
 
+``parse_word`` reads each distinct whitespace-separated chunk of the text
+once and repeats its letters for every copy; ``print_word`` formats each
+distinct letter once.
+
 The letter ``x`` is reserved for the indexed family and is therefore not a
 valid named generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnknownGeneratorError, WordSyntaxError
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
-    """A single generator; named alphabets use index 0 with distinct names."""
+class Generator(NamedTuple):
+    """A single generator; named alphabets use index 0 with distinct names.
+    As a tuple it compares, orders and hashes as ``(name, index)``."""
 
     name: str
     index: int = 0
@@ -48,6 +54,16 @@ Word = tuple[Letter, ...]
 
 _NAMED_POOL = "abcdefghijklmnopqrstuvw"  # 'x' reserved for the indexed family
 _DIGITS = frozenset("0123456789")  # str.isdigit would take any Unicode digit
+
+
+def parse_int(text: str) -> int:
+    """``text``, an optional ``-`` and ASCII digits, as an int.  ``int()``
+    alone would also take other Unicode digits, ``_``, a ``+`` and
+    surrounding whitespace."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not digits or not _DIGITS.issuperset(digits):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 class Alphabet:
@@ -112,10 +128,34 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     nothing.  Raises WordSyntaxError (with position), also for a power too
     large to expand, or UnknownGeneratorError.
     """
+    chunks = text.split()
+    seen: dict[str, tuple[Generator, int]] = {}  # name as written -> (generator, sign)
+    if len(chunks) < 2:
+        return tuple(_scan(text, 0, len(text), alphabet, seen))
+    # Each distinct chunk is read once; a repeat reuses its letters.
+    letters: list[Letter] = []
+    read: dict[str, list[Letter]] = {}
+    for k, chunk in enumerate(chunks):
+        got = read.get(chunk)
+        if got is None:
+            try:
+                got = read[chunk] = _scan(chunk, 0, len(chunk), alphabet, seen)
+            except (WordSyntaxError, UnknownGeneratorError):
+                # Read the chunk again where it stands in ``text``, so the
+                # error carries its position there.
+                start = 0
+                for before in chunks[:k]:
+                    start = text.index(before, start) + len(before)
+                start = text.index(chunk, start)
+                got = read[chunk] = _scan(text, start, start + len(chunk), alphabet, seen)
+        letters += got
+    return tuple(letters)
+
+
+def _scan(text: str, i: int, n: int, alphabet: Alphabet, seen: dict) -> list[Letter]:
+    """The letters of ``text[i:n]``; errors give positions in ``text``."""
     letters: list[Letter] = []
     digits = _DIGITS
-    seen: dict[str, tuple[Generator, int]] = {}  # name as written -> (generator, sign)
-    i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace() or ch == "*":
@@ -157,7 +197,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
                 letters += [(gen, 1 if total > 0 else -1)] * abs(total)
             except (OverflowError, MemoryError):
                 raise WordSyntaxError(f"power of {name} too large to expand", start) from None
-    return tuple(letters)
+    return letters
 
 
 def _parse_generator(name: str, alphabet: Alphabet, start: int) -> tuple[Generator, int]:
@@ -184,23 +224,17 @@ def _parse_generator(name: str, alphabet: Alphabet, start: int) -> tuple[Generat
 
 
 def print_word(w: Word) -> str:
-    """Canonical text form; inverse of parse_word on canonical strings."""
-    return " ".join(str(g) + ("^-1" if e < 0 else "") for g, e in w)
-
-
-def free_reduce(w: Word) -> Word:
-    """Cancel adjacent g g^-1 pairs until none remain."""
-    out: list[Letter] = []
+    """Canonical text form; inverse of parse_word on canonical strings.
+    Each distinct letter is formatted once."""
+    text: dict[Letter, str] = {}
+    out = []
     for letter in w:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
-def invert_word(w: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(w))
+        t = text.get(letter)
+        if t is None:
+            g, e = letter
+            t = text[letter] = f"{g}^-1" if e < 0 else str(g)
+        out.append(t)
+    return " ".join(out)
 
 
 def cyclic_shift(w: Word, offset: int) -> Word:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from orecert.words import Generator, Word, concat, invert_word
+from orecert.words import Generator, Letter, Word, concat
 
 
 def letters(names: str) -> list:
@@ -23,6 +23,21 @@ def indexed_letters(max_index: int) -> list:
         out.append((Generator("x", i), 1))
         out.append((Generator("x", i), -1))
     return out
+
+
+def free_reduce(w: Word) -> Word:
+    """Cancel adjacent g g^-1 pairs until none remain."""
+    out: list[Letter] = []
+    for letter in w:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def invert_word(w: Word) -> Word:
+    return tuple((g, -e) for g, e in reversed(w))
 
 
 def random_word(rng, alphabet_letters, max_len: int) -> Word:

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from fox import fox_trivial
-from helpers import commutator, conjugate, letters, random_word
+from helpers import commutator, conjugate, free_reduce, invert_word, letters, random_word
 
 from orecert.errors import UnknownGeneratorError
 from orecert.groups import MbBackend, ZmBackend, boundary_defect
-from orecert.words import free_reduce, invert_word
 
 ZM = ZmBackend(2)
 MB = MbBackend(2)

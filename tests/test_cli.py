@@ -557,6 +557,19 @@ def test_a_non_ascii_digit_is_a_usage_error(tmp_path):
         1, "verification failed: generator 'x' not in alphabet (at position 0)\n", "")
 
 
+def test_a_backend_rank_takes_only_ascii_digits(tmp_path):
+    # int() would read each of these ranks as 3
+    for selector in ("zm:\u0663", "mb:\u0663", "zm:+3", "zm: 3", "mb:0_3"):
+        assert run("pool", "--backend", selector, "--pool-len", "0") == (
+            2, "", f"error: not an integer: {selector[3:]!r}\n")
+    _, out, _ = run("pool", "--backend", "zm:3", "--pool-len", "0", "--format", "json")
+    path = tmp_path / "pool.json"
+    path.write_text(out.replace('"zm:3"', '"zm:\\u0663"'))
+    assert json.loads(path.read_text())["backend"] == "zm:\u0663"
+    assert run("verify", str(path)) == (
+        1, "verification failed: malformed certificate: not an integer: '\u0663'\n", "")
+
+
 def test_oversized_power_is_a_usage_error():
     for word in ("a^99999999999999999999999", "b a^-4611686018427387904"):
         code, out, err = run("wp", "--backend", "zm:2", word)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import f_reference
-from helpers import indexed_letters, random_word, rewrite_normalize
+from helpers import free_reduce, indexed_letters, invert_word, random_word, rewrite_normalize
 
 from orecert.cli import main
 from orecert.errors import NegativeExponentError, UnknownGeneratorError
@@ -19,7 +19,7 @@ from orecert.groups import (
     tree_leaves,
 )
 from orecert.groups.thompson import _fold, _times_letter
-from orecert.words import Generator, free_reduce, invert_word
+from orecert.words import Generator
 
 FB = FBackend()
 PM = PosMonoidBackend()

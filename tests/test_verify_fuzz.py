@@ -15,8 +15,11 @@ import json
 import random
 import re
 
+import pytest
+
 from orecert.certificates import verify_certificate
 from orecert.cli import main
+from orecert.groups import make_backend
 
 VALUES = [None, 0, 1, -1, "", "x", [], {}, True, 1.5]
 
@@ -176,3 +179,36 @@ def test_oversized_powers_in_documents_fail_verification(tmp_path):
         assert (code, err) == (1, ""), kind
         assert re.fullmatch(r"verification failed: power of (a|x\d+) too large to expand "
                             r"\(at position \d+\)\n", out), out
+
+
+@pytest.mark.parametrize("text", ["(1_0,2,3)", "(\u0661,2,3)", "(+1,2,3)", "(1, 2,3)", "(1,2,3 )"])
+def test_a_vector_takes_only_ascii_digits(text):
+    # int() reads each of these, (1_0,2,3) as (10, 2, 3)
+    with pytest.raises(ValueError, match="not an integer"):
+        make_backend("zm:3").element_from_str(text)
+
+
+def test_integers_outside_ascii_digits_fail_verification(tmp_path):
+    # int() reads each edited text as the integer it replaces
+    zm = _emit(SOLUTION)
+    mb = _emit(["ore-search", "--backend", "mb:2", "--a", "a", "--b", "a^2",
+                "--max-support", "2", "--pool-len", "1"])
+    assert (zm["backend"], zm["a"]) == ("zm:2", "(1,0)")
+    assert (mb["backend"], mb["a"]) == ("mb:2", "t=(1,0); flow={((0,0),a):1}")
+    edits = [
+        (zm, "backend", "zm:\u0662", "\u0662"),
+        (zm, "backend", "zm:0_2", "0_2"),
+        (zm, "a", "(\u0661,0)", "\u0661"),
+        (zm, "a", "(+1,0)", "+1"),
+        (zm, "a", "(1, 0)", " 0"),
+        (mb, "backend", "mb:+2", "+2"),
+        (mb, "a", "t=(0_1,0); flow={((0,0),a):1}", "0_1"),
+        (mb, "a", "t=(1,0); flow={((\u0660,0),a):1}", "\u0660"),
+        (mb, "a", "t=(1,0); flow={((0,0),a):+1}", "+1"),
+        (mb, "a", "t=(1,0); flow={((0,0),a):\u0661}", "\u0661"),
+    ]
+    path = tmp_path / "doc.json"
+    for doc, field, value, bad in edits:
+        path.write_text(json.dumps({**doc, field: value}))
+        assert _cli("verify", str(path)) == (
+            1, f"verification failed: malformed certificate: not an integer: {bad!r}\n", "")

@@ -1,16 +1,16 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
 import words_reference
+from helpers import free_reduce, invert_word
 
 from orecert.errors import UnknownGeneratorError, WordSyntaxError
 from orecert.words import (
     Alphabet,
     Generator,
     cyclic_shift,
-    free_reduce,
-    invert_word,
     is_alternating,
     parse_word,
     print_word,
@@ -236,3 +236,95 @@ def test_parser_agrees_on_long_powers_and_words():
         assert parse_word(text, X) == words_reference.parse_word(text, X)
     upper = "a^5 * B^-7 A b^12*a^-1"
     assert parse_word(upper, AB) == words_reference.parse_word(upper, AB)
+
+
+# -- reading each distinct chunk once -------------------------------------------
+
+SEPARATORS = [" ", "\t", "\n", "\u00a0", "\u3000", "*", ""]
+
+
+def test_parser_agrees_across_separators_and_repeated_chunks():
+    # few distinct pieces and many copies, so most chunks are repeats
+    rng = random.Random(4242)
+    cases = [(X, INDEXED_TOKENS), (AB, NAMED_TOKENS)]
+    kinds = set()
+    for _ in range(1500):
+        for alphabet, tokens in cases:
+            distinct = [rng.choice(JUNK if rng.random() < 0.03 else tokens)
+                        for _ in range(rng.randrange(1, 4))]
+            text = "".join(rng.choice(distinct) + rng.choice(SEPARATORS)
+                           for _ in range(rng.randrange(0, 30)))
+            expected = _outcome(words_reference.parse_word, text, alphabet)
+            assert _outcome(parse_word, text, alphabet) == expected, (text, alphabet)
+            kinds.add(expected[0])
+    assert kinds == {"word", WordSyntaxError, UnknownGeneratorError}
+
+
+@pytest.mark.parametrize("text,alphabet,error,position", [
+    ("x1 x1 x1^", X, WordSyntaxError, 9),  # after two cached chunks
+    ("x1^ x1^", X, WordSyntaxError, 3),  # the first copy of a bad chunk
+    ("x1^2 x1^", X, WordSyntaxError, 8),  # the bad chunk also starts the first one
+    ("x1\u00a0x1\u3000x1^-", X, WordSyntaxError, 10),
+    ("x0 x1 x0 x1 x0y x1", X, UnknownGeneratorError, 14),
+    ("a b a b c", AB, UnknownGeneratorError, 8),
+    ("c c", AB, UnknownGeneratorError, 0),
+    ("x2\tx2 \n a x2", X, UnknownGeneratorError, 8),
+])
+def test_an_error_after_cached_chunks_has_its_position_in_the_text(text, alphabet, error,
+                                                                   position):
+    assert _outcome(parse_word, text, alphabet) == _outcome(
+        words_reference.parse_word, text, alphabet)
+    with pytest.raises(error) as info:
+        parse_word(text, alphabet)
+    assert str(info.value).endswith(f"(at position {position})")
+
+
+def test_repeated_powers_expand_each_copy():
+    for text in ("x0^300 x0^300", "x1^-2 x0^300 x1^-2 x0^300\tx1^-2", "a^7 A^7 a^7 B^0 B^0"):
+        alphabet = AB if text[0] == "a" else X
+        assert parse_word(text, alphabet) == words_reference.parse_word(text, alphabet)
+    assert len(parse_word("x0^300 x0^300", X)) == 600
+
+
+def _print_letter_by_letter(w):
+    """print_word as it was before it formatted each distinct letter once."""
+    return " ".join(str(g) + ("^-1" if e < 0 else "") for g, e in w)
+
+
+def test_print_word_equals_the_per_letter_formula_and_parses_back():
+    rng = random.Random(2026)
+    named = [Generator("a"), Generator("b")]
+    indexed = [Generator("x", i) for i in (0, 1, 7, 123)]
+    for _ in range(500):
+        pool, alphabet = rng.choice(((named, AB), (indexed, X)))
+        w = tuple((rng.choice(pool), rng.choice((1, -1))) for _ in range(rng.randrange(0, 60)))
+        assert print_word(w) == _print_letter_by_letter(w)
+        assert parse_word(print_word(w), alphabet) == w
+
+
+@dataclass(frozen=True, order=True)
+class _DataclassGenerator:
+    """Generator as it was before it became a NamedTuple."""
+
+    name: str
+    index: int = 0
+
+
+def test_generator_compares_hashes_and_prints_as_the_dataclass_did():
+    pairs = [(name, index) for name in ("a", "b", "w", "x") for index in (0, 1, 2, 10, 123)]
+    new = [Generator(*p) for p in pairs]
+    old = [_DataclassGenerator(*p) for p in pairs]
+    rng = random.Random(11)
+    for _ in range(20):
+        order = list(range(len(pairs)))
+        rng.shuffle(order)
+        assert sorted(new[i] for i in order) == sorted((new[i] for i in order),
+                                                       key=lambda g: (g.name, g.index))
+        assert [(g.name, g.index) for g in sorted(new[i] for i in order)] == [
+            (g.name, g.index) for g in sorted(old[i] for i in order)]
+    for g, d in zip(new, old):
+        assert hash(g) == hash(d)
+        assert [g == h for h in new] == [d == h for h in old]
+        assert [g < h for h in new] == [d < h for h in old]
+    assert str(Generator("a")) == "a" and str(Generator("x", 12)) == "x12"
+    assert Generator("a").index == 0 and Generator("a") == Generator("a", 0)

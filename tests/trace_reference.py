@@ -19,6 +19,8 @@ that a change to them in the code under test shows as a difference.
 
 from __future__ import annotations
 
+from helpers import invert_word
+
 from orecert.errors import NotAlternatingError, VerificationError
 from orecert.groups.thompson import FBackend
 from orecert.groups.trace import AltTrace, TraceStep
@@ -27,7 +29,6 @@ from orecert.words import (
     Word,
     concat,
     cyclic_shift,
-    invert_word,
     is_alternating,
     print_word,
     shift_word,
