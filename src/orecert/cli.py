@@ -23,7 +23,7 @@ from .errors import NotARelationError, OrecertError, VerificationError
 from .folner import greedy_folner_search, parse_ratio
 from .groups import make_backend
 from .ore import Exhausted, make_instance, solve
-from .words import Alphabet, parse_word
+from .words import Alphabet, parse_int, parse_word
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -193,18 +193,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def search(name, help, n, L):
         p = command(name, help, _ore)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=parse_int, default=1)
         p.add_argument("--a", required=True)
         p.add_argument("--b", required=True)
-        p.add_argument("--max-support", type=int, default=n)
-        p.add_argument("--pool-len", type=int, default=L)
-        p.add_argument("--pool-idx", type=int, default=2)
+        p.add_argument("--max-support", type=parse_int, default=n)
+        p.add_argument("--pool-len", type=parse_int, default=L)
+        p.add_argument("--pool-idx", type=parse_int, default=2)
         return p
 
     search("ore-search", "search for (1+a)u = (1+b)v in Z+[M]", 3, 3).set_defaults(
         coeff_bound=None, signs="++")
     p = search("ore-signed", "search for (1+-a)u = (1+-b)v in Z[M]", 2, 2)
-    p.add_argument("--coeff-bound", type=int, default=1)
+    p.add_argument("--coeff-bound", type=parse_int, default=1)
     p.add_argument("--signs", default="++")
 
     p = command("extract", "relation graph and cycles of a solution certificate", _extract,
@@ -214,19 +214,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("rel2sol", "rebuild a solution from an alternating relation", _rel2sol)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--pool-len", type=int, default=3)
-    p.add_argument("--pool-idx", type=int, default=2)
+    p.add_argument("--pool-len", type=parse_int, default=3)
+    p.add_argument("--pool-idx", type=parse_int, default=2)
     p.add_argument("word")
 
     p = command("folner", "greedy search for an almost invariant set", _folner)
     p.add_argument("--epsilon", required=True)
     p.add_argument("--delta", default=None)
-    p.add_argument("--budget", type=int, default=100)
-    p.add_argument("--pool-idx", type=int, default=1)
+    p.add_argument("--budget", type=parse_int, default=100)
+    p.add_argument("--pool-idx", type=parse_int, default=1)
 
     p = command("pool", "enumerate the search pool", _pool)
-    p.add_argument("--pool-len", type=int, default=2)
-    p.add_argument("--pool-idx", type=int, default=2)
+    p.add_argument("--pool-len", type=parse_int, default=2)
+    p.add_argument("--pool-idx", type=parse_int, default=2)
 
     p = sub.add_parser("verify", help="re-check a certificate document")
     p.set_defaults(run=_verify)

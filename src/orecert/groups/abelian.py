@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import add
+
 from ..errors import BackendMismatchError
 from ..words import Alphabet, Word
 from .base import Backend, vector_from_str, vector_str
@@ -34,7 +36,7 @@ class ZmBackend(Backend):
     def multiply(self, x, y):
         if len(x) != len(y):
             raise BackendMismatchError("rank mismatch")
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(add, x, y))
 
     def inverse(self, x):
         return tuple(-a for a in x)

@@ -33,6 +33,15 @@ def _freeze(flow: dict[Edge, int]) -> FlowItems:
     return tuple(sorted((e, v) for e, v in flow.items() if v != 0))
 
 
+def _splice(t: tuple[int, ...], flow: FlowItems, edge: Edge, v: int) -> FlowElement:
+    """(t, flow with v added on ``edge``), the sorted flow kept sorted."""
+    j = bisect_left(flow, edge, key=itemgetter(0))
+    if j < len(flow) and flow[j][0] == edge:
+        v += flow[j][1]
+        return FlowElement(t, flow[:j] + (((edge, v),) if v else ()) + flow[j + 1 :])
+    return FlowElement(t, flow[:j] + ((edge, v),) + flow[j:])
+
+
 class MbBackend(Backend):
     is_group = True
 
@@ -75,14 +84,15 @@ class MbBackend(Backend):
         if len(y.flow) == 1:
             # One edge is a letter a_d^v: the boundary condition puts it at
             # (0, d) for v = 1 and at (-e_d, d) for v = -1.  So x a_d^v adds v
-            # on (x.t, d) or (t, d), spliced into the sorted flow.
-            ((_, d), v), flow = y.flow[0], x.flow
-            edge = (x.t if v > 0 else t, d)
-            j = bisect_left(flow, edge, key=itemgetter(0))
-            if j < len(flow) and flow[j][0] == edge:
-                w = flow[j][1] + v
-                return FlowElement(t, flow[:j] + (((edge, w),) if w else ()) + flow[j + 1 :])
-            return FlowElement(t, flow[:j] + ((edge, v),) + flow[j:])
+            # on (x.t, d) or (t, d).
+            (((_, d), v),) = y.flow
+            return _splice(t, x.flow, (x.t if v > 0 else t, d), v)
+        if len(x.flow) == 1:
+            # a_d^v y adds v on that edge to y's flow shifted by x.t, and the
+            # shift keeps the flow sorted
+            s, ((edge, v),) = x.t, x.flow
+            flow = tuple(((tuple(map(add, base, s)), d), w) for (base, d), w in y.flow)
+            return _splice(t, flow, edge, v)
         flow = dict(x.flow)
         for (base, d), v in y.flow:
             edge = (tuple(map(add, base, x.t)), d)

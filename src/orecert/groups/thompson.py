@@ -453,29 +453,32 @@ def _append_generator(nf: NormalForm, q: int) -> NormalForm:
     return nf[:cut] + (q,) + tuple(p + 1 for p in nf[cut:])
 
 
-def pos_normalize(w: Word) -> NormalForm:
-    """Normal form of a positive word over x0, x1, ..., built by reading it
-    right to left and multiplying each letter on the left.
+def _prepend_generator(nf: list[int], q: int) -> None:
+    """Left-multiply the normal form ``nf`` by x_q, in place.
 
-    The letters read so far form a non-decreasing list.  A new letter x_q
-    enters at its front; while the next p is below the letter's index,
-    x_q x_p = x_p x_(q+1) moves the letter past p, raising its index by
-    one and leaving p as it is.  It stops before the first p at or above
+    The letter enters at the front; while the next p is below the letter's
+    index, x_q x_p = x_p x_(q+1) moves the letter past p, raising its index
+    by one and leaving p as it is.  It stops before the first p at or above
     its index, above every letter it passed and below none after it, so
     the list stays non-decreasing: the monoid's normal form."""
+    j = 0
+    for p in nf:
+        if p >= q:
+            break
+        q += 1
+        j += 1
+    nf.insert(j, q)
+
+
+def pos_normalize(w: Word) -> NormalForm:
+    """Normal form of a positive word over x0, x1, ..., built by reading it
+    right to left and multiplying each letter on the left."""
     for gen, exp in w:
         if exp != 1:
             raise NegativeExponentError(f"positive word expected, found {gen}^-1")
     nf: list[int] = []
     for gen, _ in reversed(w):
-        q = gen.index
-        j = 0
-        for p in nf:
-            if p >= q:
-                break
-            q += 1
-            j += 1
-        nf.insert(j, q)
+        _prepend_generator(nf, gen.index)
     return tuple(nf)
 
 
@@ -577,6 +580,12 @@ class PosMonoidBackend(Backend):
         return pos_normalize(w)
 
     def multiply(self, x: NormalForm, y: NormalForm) -> NormalForm:
+        # each letter of the shorter factor goes onto the other's end
+        if len(x) < len(y):
+            nf = list(y)
+            for q in reversed(x):
+                _prepend_generator(nf, q)
+            return tuple(nf)
         for q in y:
             x = _append_generator(x, q)
         return x

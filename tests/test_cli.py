@@ -576,3 +576,39 @@ def test_oversized_power_is_a_usage_error():
         assert (code, out) == (2, "")
         assert err.startswith("error: power of a too large to expand (at position ")
         assert err.count("\n") == 1
+
+
+def test_integer_options_take_only_ascii_digits(capsys):
+    # int() would read each of these values as 2 or 10
+    cases = [
+        (["pool", "--backend", "zm:2"], "--pool-len", "\u0662"),
+        (["pool", "--backend", "zm:2"], "--pool-len", "1_0"),
+        (["pool", "--backend", "zm:2"], "--pool-idx", "+2"),
+        (["ore-search", *ZM2_AB], "--jobs", "\u0662"),
+        (["ore-search", *ZM2_AB], "--max-support", " 2"),
+        (["ore-signed", *ZM2_AB], "--coeff-bound", "\u0662"),
+        (["rel2sol", *ZM2_AB, "a b^-1"], "--pool-len", "\u0662"),
+        (["folner", "--backend", "zm:2", "--epsilon", "1/2"], "--budget", "1_0"),
+        (["folner", "--backend", "zm:2", "--epsilon", "1/2"], "--pool-idx", "\u0661"),
+    ]
+    for argv, option, value in cases:
+        assert run(*argv, option, value) == (2, "", "")
+        err = capsys.readouterr().err
+        assert err.endswith(f": error: argument {option}: invalid parse_int value: {value!r}\n")
+        assert "Traceback" not in err
+    assert run("pool", "--backend", "zm:2", "--pool-len", "-1") == (
+        2, "", "error: length must be nonnegative\n")
+
+
+def test_a_ratio_takes_only_ascii_digits(tmp_path):
+    # Fraction would read each of these as 1/2 or 10/20
+    for text in ("\u0661/\u0662", "1/\u0662", "0.5\u0660", "1_0/20"):
+        for name, argv in (("epsilon", ["--epsilon", text]),
+                           ("delta", ["--epsilon", "1/2", "--delta", text])):
+            assert run("folner", "--backend", "zm:2", "--budget", "5", *argv) == (
+                2, "", f"error: {name}: not a ratio in ASCII digits: {text!r}\n")
+    _, out, _ = run("folner", "--backend", "zm:2", "--epsilon", "1/2", "--budget", "5",
+                    "--format", "json")
+    doc = {**json.loads(out), "epsilon": "\u0661/\u0662"}
+    assert _verify_doc(tmp_path, doc)[:2] == (
+        1, "verification failed: epsilon: not a ratio in ASCII digits: '\u0661/\u0662'\n")

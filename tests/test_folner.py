@@ -180,6 +180,29 @@ def test_non_injective_translation_is_rejected(monkeypatch):
     assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {message}\n")
 
 
+class Merging(Collapsing):
+    """The integers, where a adds 1 and b adds 10, except that a 10 = a 1 = 2.
+    1 and 10 are the first candidates, and neither translate meets aE or bE
+    of E = {0}; once 1 joins E, a 10 lies in aE."""
+
+    def multiply(self, x, y):
+        if x == "a":
+            return 2 if y == 10 else y + 1
+        return y + 10
+
+    def generators(self, max_index=None):
+        return [("a", "a"), ("b", "b")]
+
+
+def test_a_candidate_that_collides_after_an_addition_is_rejected():
+    stub = Merging()
+    for grower in (greedy_folner_search, folner_reference.greedy_folner_search):
+        # the budget ends the run at E = {0, 1}, before the step that scans 10
+        assert grower(stub, stub.generators(), Fraction(1, 10), 2)[::2] == ([0], False)
+        with pytest.raises(VerificationError, match="left translation by a not injective"):
+            grower(stub, stub.generators(), Fraction(1, 10), 3)
+
+
 @pytest.mark.parametrize("backend,generators,epsilon,budget,success", [
     (ZM, ZM.generators(), Fraction(1, 2), 200, True),
     (ZM, ZM.generators(), Fraction(21, 10), 5, True),

@@ -109,3 +109,37 @@ def test_incremental_grower_matches_reference(memo_ratios, selector, pool_idx, e
             assert report.min_intersection_ratio == report_ref.min_intersection_ratio, where
             assert report.max_symdiff_ratio == report_ref.max_symdiff_ratio, where
             assert success is success_ref, where
+
+
+class Cyclic(Backend):
+    """Z/n, the integers 0 .. n-1 under addition mod n."""
+
+    identity = 0
+
+    def __init__(self, n: int):
+        self.n = n
+        self.name = f"cyclic:{n}"
+
+    def multiply(self, x, y):
+        return (x + y) % self.n
+
+    def canonical_key(self, x):
+        return x
+
+    def canonical_str(self, x):
+        return str(x)
+
+
+@pytest.mark.parametrize("n,steps", [(7, (1, 3)), (12, (1, 3, 4)), (15, (1, 3))])
+def test_incremental_grower_matches_reference_on_a_finite_group(n, steps):
+    # In a small group one addition often raises the increments of several
+    # candidates, and the frontier runs out: a grower that regrouped only
+    # the first candidate an addition touches passes every case above, but
+    # not these.
+    backend = Cyclic(n)
+    generators = [(str(s), s) for s in steps]
+    for epsilon in EPSILONS:
+        for budget in range(1, n + 2):
+            E, report, success = greedy_folner_search(backend, generators, epsilon, budget)
+            assert (E, report, success) == folner_reference.greedy_folner_search(
+                backend, generators, epsilon, budget), (epsilon, budget)

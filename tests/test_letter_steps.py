@@ -5,12 +5,15 @@ A step is the map x -> x*y with y recognised once.  F turns a generator
 letter into a rotation step that never calls ``multiply``; the other
 backends keep the default step, which does.  Every step must give
 ``multiply(x, y)``, and MB_m's ``multiply``, which splices a letter's one
-edge into the sorted flow, must give the element of the concatenated
-word.  The pool and the relation check, which take their products
+edge into the sorted flow on either side, and posmon's, which inserts a
+shorter left factor at the front, must give the element of the
+concatenated word.  The pool and the relation check, which take their products
 through steps, must match references that call ``multiply`` for every
 product and skip nothing.
 """
 
+import hashlib
+import io
 import random
 
 import pytest
@@ -20,6 +23,7 @@ from ore_reference import reference_pool, reference_relation_length
 from test_ore_differential import UNSIGNED, _instance
 from test_relation_refutation import UNBOUNDED
 
+from orecert.cli import main
 from orecert.groups import make_backend
 from orecert.ore import alternating_relation_length, enumerate_pool
 
@@ -108,6 +112,47 @@ def test_letter_products_match_concatenation(name, alphabet):
         x = backend.from_word(w)
         for g in alphabet:
             assert backend.multiply(x, backend.from_word((g,))) == backend.from_word(w + (g,)), (w, g)
+
+
+@pytest.mark.parametrize("name, alphabet", BACKENDS, ids=[b[0] for b in BACKENDS])
+def test_left_letter_and_general_products_match_concatenation(name, alphabet):
+    # MB_m splices a left letter's edge into y's shifted flow, and posmon
+    # inserts the shorter left factor's letters at the front of y
+    backend = make_backend(name)
+    rng = random.Random(23)
+    shapes = set()
+    for _ in range(80):
+        u, w = random_word(rng, alphabet, 12), random_word(rng, alphabet, 12)
+        x, y = backend.from_word(u), backend.from_word(w)
+        assert backend.multiply(x, y) == backend.from_word(u + w), (u, w)
+        if name == "posmon":
+            shapes.add((len(x) > len(y)) - (len(x) < len(y)))
+        for g in alphabet:
+            z = backend.multiply(backend.from_word((g,)), y)
+            assert z == backend.from_word((g,) + w), (g, w)
+            if name.startswith("mb"):
+                # an edge more, the same edges, or one edge cancelled to 0
+                shapes.add(len(z.flow) - len(y.flow))
+    if name.startswith("mb"):
+        assert shapes >= {-1, 0, 1}
+        a, b = (backend.from_text(t) for t in ("a", "b"))
+        assert backend.multiply(a, backend.from_text("A b")) == b
+        assert backend.multiply(backend.inverse(a), backend.from_text("a b a")) == backend.from_text("b a")
+    if name == "posmon":
+        assert shapes == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("mb:2", "aec47d29c99b5904acca9fbcb79d45cb4ac467e4d4b3f3fff9b0cf28b4ae246f"),
+    ("posmon", "938fa81fce4d6f654772d3e4c93b72c52f0e04c8ad922cf54045f3186a14a830"),
+])
+def test_folner_output_bytes_are_pinned(name, digest):
+    # the sha256 of the document the grower printed when it rescanned the
+    # whole frontier at every step, and multiplied g k by the general product
+    out = io.StringIO()
+    argv = ["folner", "--backend", name, "--epsilon", "1/10", "--budget", "120", "--format", "json"]
+    assert main(argv, out, io.StringIO()) == 3
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 # (backend, K, largest L)
