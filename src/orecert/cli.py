@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from . import certificates as certs
 from .errors import NotARelationError, OrecertError, VerificationError
@@ -94,6 +95,8 @@ def _rel2sol(args) -> dict:
 
 def _folner(args) -> dict:
     backend = make_backend(args.backend)
+    if args.pool_idx < 0:  # refused on every backend, as the searches and pools refuse it
+        raise ValueError("at least one generator is needed")
     epsilon = parse_ratio("epsilon", args.epsilon)
     E, report, _ = greedy_folner_search(
         backend, backend.generators(args.pool_idx), epsilon, args.budget)
@@ -239,7 +242,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        # argparse prints usage errors and --help to sys.stderr and sys.stdout
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

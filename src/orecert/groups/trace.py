@@ -38,13 +38,12 @@ wrong, not the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import NotAlternatingError, OrecertError, VerificationError
 from ..words import (
     Generator,
     Word,
-    concat,
     cyclic_shift,
     is_alternating,
     print_word,
@@ -57,8 +56,7 @@ _X0 = (Generator("x", 0), 1)
 _X0_INV = (Generator("x", 0), -1)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     rule: str  # "shift" | "conjugate_x0" | "witness"
     input_word: Word
     output_word: Word
@@ -68,8 +66,7 @@ class TraceStep:
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class AltTrace:
+class AltTrace(NamedTuple):
     word: Word
     steps: tuple[TraceStep, ...]
     verdict: str
@@ -148,7 +145,7 @@ def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
         raised = shift_word(v, 1)
         if fb.from_word((_X0_INV,) + v + (_X0,)) != fb.from_word(raised):
             raise _unconfirmed(w)
-        replaced = concat(raised, tail)
+        replaced = raised + tail
         steps.append(
             TraceStep(
                 "conjugate_x0",

@@ -40,10 +40,10 @@ element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     ModeMismatchError,
@@ -68,23 +68,36 @@ from .words import Generator, Word
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class OreInstance:
     """Bounds of a search for (1 + sa*a) u = (1 + sb*b) v.  The coefficient
     bound c alone picks the ring: Z[M] with c, else Z+[M] with signs ++.
+    Signs are +/-1, and (1, 1) unless c is set.
 
-    The pool, the ball of radius L over the generators, is enumerated when
-    something first reads its elements; ``pool_size`` is counted without it
-    where the backend can count (``Backend.ball_size``)."""
+    The bounds are checked here.  The pool, the ball of radius L over the
+    generators, is enumerated when something first reads its elements;
+    ``pool_size`` is counted without it where the backend can count
+    (``Backend.ball_size``)."""
 
-    backend: Backend
-    a: object
-    b: object
-    max_support: int
-    pool_length: int
-    pool_max_index: int | None = None
-    coeff_bound: int | None = None
-    signs: tuple[int, int] = (1, 1)
+    def __init__(self, backend: Backend, a, b, max_support: int, pool_length: int,
+                 pool_max_index: int | None = None, coeff_bound: int | None = None,
+                 signs: tuple[int, int] = (1, 1)):
+        if max_support < 0:
+            raise ValueError("max support n must be nonnegative")
+        if coeff_bound is not None and coeff_bound < 1:
+            raise ValueError("coefficient bound c must be at least 1")
+        if any(s not in (1, -1) for s in signs):
+            raise ValueError(f"signs must be +1 or -1, got {signs!r}")
+        if coeff_bound is None and tuple(signs) != (1, 1):
+            raise ValueError("signs other than ++ need a coefficient bound c")
+        _check_pool_bounds(pool_length, pool_max_index)
+        self.backend = backend
+        self.a = a
+        self.b = b
+        self.max_support = max_support
+        self.pool_length = pool_length
+        self.pool_max_index = pool_max_index
+        self.coeff_bound = coeff_bound
+        self.signs = signs
 
     @property
     def signed(self) -> bool:
@@ -108,10 +121,10 @@ class OreInstance:
         }
 
 
-def _check_pool_bounds(backend: Backend, length: int, max_index: int | None) -> None:
+def _check_pool_bounds(length: int, max_index: int | None) -> None:
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if backend.alphabet.kind == "indexed" and max_index is not None and max_index < 0:
+    if max_index is not None and max_index < 0:
         raise ValueError("at least one generator is needed")
 
 
@@ -128,7 +141,7 @@ def enumerate_pool(backend: Backend, length: int, max_index: int | None = None) 
     multiplied by l^-1: y * l^-1 = x is already in the ball, so the skip
     loses no element.  A monoid has no inverse letters and skips nothing.
     """
-    _check_pool_bounds(backend, length, max_index)
+    _check_pool_bounds(length, max_index)
     letters = [g for _, g in backend.generators(max_index)]
     group = backend.is_group
     if group:
@@ -157,25 +170,8 @@ def enumerate_pool(backend: Backend, length: int, max_index: int | None = None) 
     return sorted(seen)
 
 
-def make_instance(backend, a, b, max_support, pool_length, pool_max_index=None,
-                  coeff_bound=None, signs=(1, 1)) -> OreInstance:
-    """The instance over the ball of radius ``pool_length``, in Z[M] when
-    ``coeff_bound`` is set.  Signs are +/-1, and (1, 1) unless it is set.
-    The bounds are checked here; the pool is left to its first reader."""
-    if max_support < 0:
-        raise ValueError("max support n must be nonnegative")
-    if coeff_bound is not None and coeff_bound < 1:
-        raise ValueError("coefficient bound c must be at least 1")
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError(f"signs must be +1 or -1, got {signs!r}")
-    if coeff_bound is None and tuple(signs) != (1, 1):
-        raise ValueError("signs other than ++ need a coefficient bound c")
-    _check_pool_bounds(backend, pool_length, pool_max_index)
-    return OreInstance(
-        backend, a, b, max_support,
-        pool_length=pool_length, pool_max_index=pool_max_index,
-        coeff_bound=coeff_bound, signs=signs,
-    )
+# The checked constructor, under the name the CLI and the certificates call.
+make_instance = OreInstance
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +179,7 @@ def make_instance(backend, a, b, max_support, pool_length, pool_max_index=None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Solution:
+class Solution(NamedTuple):
     U: tuple
     V: tuple
     lhs: SemiringElement
@@ -192,15 +187,13 @@ class Solution:
     verified: bool
 
 
-@dataclass
-class Exhausted:
+class Exhausted(NamedTuple):
     bounds: dict
     pool_size: int
     nodes: int
 
 
-@dataclass
-class SignedSolution:
+class SignedSolution(NamedTuple):
     u: tuple  # (coeff, element) pairs, sorted by element
     v: tuple
     lhs: SemiringElement
@@ -424,8 +417,7 @@ def search_signed(inst: OreInstance):
     return sol
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     """Outcome of ``alternating_relation_length``: ``length`` is the least
     length of a trivial alternating word, or None; ``decided`` is False when
     the budget stopped the check short of length 2n; ``multiplies`` counts
@@ -510,17 +502,13 @@ def solve(inst: OreInstance):
 # relation graph
 # ---------------------------------------------------------------------------
 
-VertexId = tuple  # (element, occurrence id)
+
+class GraphEdge(NamedTuple):
+    source: tuple  # (element, occurrence id)
+    target: tuple
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    source: VertexId
-    target: VertexId
-
-
-@dataclass
-class RelationGraph:
+class RelationGraph(NamedTuple):
     vertices: tuple
     a_edges: tuple
     b_edges: tuple
@@ -557,8 +545,7 @@ def build_relation_graph(backend, a, b, sol: Solution) -> RelationGraph:
     return RelationGraph(vertices, tuple(a_edges), tuple(b_edges))
 
 
-@dataclass
-class AlternatingRelation:
+class AlternatingRelation(NamedTuple):
     word: Word
     verified: bool
 

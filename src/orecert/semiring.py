@@ -100,12 +100,6 @@ def sr_equals(x: SemiringElement, y: SemiringElement) -> bool:
     return x.coeffs == y.coeffs
 
 
-def sr_left_factor(c, x: SemiringElement) -> SemiringElement:
-    """(1 + c) * x, with c a backend element."""
-    translated = sr_mul(SemiringElement.monomial(x.backend, c), x)
-    return sr_add(x, translated)
-
-
 def sr_as_multiset(x: SemiringElement) -> list:
     """Elements of a Z+[M] value listed with multiplicity, sorted."""
     out = []

@@ -245,13 +245,6 @@ def cyclic_shift(w: Word, offset: int) -> Word:
     return w[k:] + w[:k]
 
 
-def concat(*ws: Word) -> Word:
-    out: list[Letter] = []
-    for w in ws:
-        out.extend(w)
-    return tuple(out)
-
-
 def _indexed_only(w: Word) -> bool:
     return all(g.name == "x" for g, _ in w)
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from orecert.words import Generator, Letter, Word, concat
+from orecert.semiring import SemiringElement, sr_add, sr_mul
+from orecert.words import Generator, Letter, Word
 
 
 def letters(names: str) -> list:
@@ -38,6 +39,19 @@ def free_reduce(w: Word) -> Word:
 
 def invert_word(w: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(w))
+
+
+def concat(*ws: Word) -> Word:
+    out: list[Letter] = []
+    for w in ws:
+        out.extend(w)
+    return tuple(out)
+
+
+def sr_left_factor(c, x: SemiringElement) -> SemiringElement:
+    """(1 + c) * x, with c a backend element."""
+    translated = sr_mul(SemiringElement.monomial(x.backend, c), x)
+    return sr_add(x, translated)
 
 
 def random_word(rng, alphabet_letters, max_len: int) -> Word:

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from orecert import certificates as certs
 from orecert import ore
@@ -472,6 +476,30 @@ def test_folner_without_generators_is_a_usage_error(tmp_path):
     )
 
 
+def test_a_negative_max_index_is_a_usage_error_on_every_backend():
+    # zm and mb pools do not depend on K, yet a negative K is no bound
+    for argv in [
+        ("ore-search", *ZM2_AB, "--pool-idx", "-5"),
+        ("ore-signed", "--backend", "mb:2", "--a", "a", "--b", "b", "--pool-idx", "-1"),
+        ("rel2sol", *ZM2_AB, "--pool-idx", "-1", "a b^-1"),
+        ("pool", "--backend", "mb:2", "--pool-idx", "-3"),
+        ("pool", "--backend", "zm:2", "--pool-len", "1", "--pool-idx", "-1"),
+        ("folner", "--backend", "zm:2", "--epsilon", "1/2", "--pool-idx", "-1"),
+    ]:
+        assert run(*argv) == (2, "", "error: at least one generator is needed\n"), argv
+
+
+def test_argparse_writes_to_the_streams_it_is_given(capsys):
+    code, out, err = run("pool", "--pool-len", "\u0662")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: orecert pool ")
+    assert err.endswith(": error: argument --pool-len: invalid parse_int value: '\u0662'\n")
+    code, out, err = run("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: orecert ") and "ore-search" in out
+    assert capsys.readouterr() == ("", "")
+
+
 def test_backend_without_parameters_rejects_an_argument():
     for selector in ("f:3", "posmon:junk"):
         code, out, err = run("wp", "--backend", selector, "x0")
@@ -578,7 +606,7 @@ def test_oversized_power_is_a_usage_error():
         assert err.count("\n") == 1
 
 
-def test_integer_options_take_only_ascii_digits(capsys):
+def test_integer_options_take_only_ascii_digits():
     # int() would read each of these values as 2 or 10
     cases = [
         (["pool", "--backend", "zm:2"], "--pool-len", "\u0662"),
@@ -592,8 +620,8 @@ def test_integer_options_take_only_ascii_digits(capsys):
         (["folner", "--backend", "zm:2", "--epsilon", "1/2"], "--pool-idx", "\u0661"),
     ]
     for argv, option, value in cases:
-        assert run(*argv, option, value) == (2, "", "")
-        err = capsys.readouterr().err
+        code, out, err = run(*argv, option, value)
+        assert (code, out) == (2, "")
         assert err.endswith(f": error: argument {option}: invalid parse_int value: {value!r}\n")
         assert "Traceback" not in err
     assert run("pool", "--backend", "zm:2", "--pool-len", "-1") == (
@@ -612,3 +640,15 @@ def test_a_ratio_takes_only_ascii_digits(tmp_path):
     doc = {**json.loads(out), "epsilon": "\u0661/\u0662"}
     assert _verify_doc(tmp_path, doc)[:2] == (
         1, "verification failed: epsilon: not a ratio in ASCII digits: '\u0661/\u0662'\n")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # records are NamedTuples: the CLI needs neither dataclasses nor the
+    # inspect, ast and tokenize modules that dataclasses imports
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = ("import sys, orecert.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout == "[]\n"

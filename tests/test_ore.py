@@ -3,6 +3,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from helpers import sr_left_factor
+
 from orecert.errors import NotARelationError, NotEmbeddableError
 from orecert.groups import FBackend, MbBackend, PosMonoidBackend, ZmBackend
 from orecert.ore import (
@@ -18,7 +20,7 @@ from orecert.ore import (
     search_signed,
     verify_solution,
 )
-from orecert.semiring import SemiringElement, sr_equals, sr_left_factor
+from orecert.semiring import SemiringElement, sr_equals
 from orecert.words import parse_word, print_word
 from orecert.certificates import LABEL_ALPHABET
 
@@ -332,3 +334,12 @@ def test_random_abelian_solutions_roundtrip():
         assert all(r.verified for r in relations)
         for relation in relations:
             assert relation_to_solution(backend, a, b, relation.word).verified
+
+
+def test_exhausted_prints_as_the_readme_shows():
+    mb = MbBackend(2)
+    inst = make_instance(mb, mb.from_text("a"), mb.from_text("b"), max_support=3, pool_length=2)
+    bounds = {"n": 3, "L": 2, "K": None, "c": None}
+    assert repr(search_common_multiple(inst)) == (
+        f"Exhausted(bounds={bounds!r}, pool_size=17, nodes=65)")
+    assert repr(Exhausted(bounds, 17, 0)) == f"Exhausted(bounds={bounds!r}, pool_size=17, nodes=0)"

@@ -235,11 +235,6 @@ def test_negative_max_index_is_a_usage_error_on_indexed_backends(argv, no_pools)
     assert run(*argv) == (2, "", "error: at least one generator is needed\n")
 
 
-def test_named_backends_still_ignore_max_index():
-    code, out, _ = run("pool", "--backend", "zm:2", "--pool-len", "1", "--pool-idx", "-1")
-    assert (code, len(out.splitlines())) == (0, 5)
-
-
 def test_verify_rejects_a_negative_max_index(tmp_path):
     code, out, _ = run("ore-search", "--backend", "posmon", "--a", "x0", "--b", "x1",
                        "--max-support", "2", "--pool-len", "2", "--pool-idx", "0",

@@ -11,13 +11,12 @@ import itertools
 
 import pytest
 
-from helpers import invert_word
+from helpers import concat, invert_word
 from ore_reference import reference_common_multiple, reference_signed
 from test_ore_differential import SIGNED, UNSIGNED, _certificate, _instance
 
 from orecert.groups import make_backend
 from orecert.ore import Exhausted, alternating_relation_length, solve
-from orecert.words import concat
 
 UNBOUNDED = 10**9
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import indexed_letters, letters, random_word
+from helpers import indexed_letters, letters, random_word, sr_left_factor
 
 from orecert.errors import ModeMismatchError
 from orecert.groups import FBackend, MbBackend, PosMonoidBackend, ZmBackend
@@ -11,7 +11,6 @@ from orecert.semiring import (
     sr_add,
     sr_as_multiset,
     sr_equals,
-    sr_left_factor,
     sr_mul,
     sr_scale,
     sr_text,

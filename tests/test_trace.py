@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -141,20 +140,20 @@ def test_verify_reads_every_field():
     trace = alt_trace(tw("x0 x1 x0^-1 x1^-1"), FB)
     conj, witness = trace.steps
     for edited in (
-        (dataclasses.replace(conj, alpha=7), witness),
-        (dataclasses.replace(conj, witness="anything"), witness),
-        (conj, dataclasses.replace(witness, rotation=5)),
+        (conj._replace(alpha=7), witness),
+        (conj._replace(witness="anything"), witness),
+        (conj, witness._replace(rotation=5)),
     ):
-        assert not verify_trace(dataclasses.replace(trace, steps=edited), FB)
-    assert not verify_trace(dataclasses.replace(trace, witness="bogus"), FB)
+        assert not verify_trace(trace._replace(steps=edited), FB)
+    assert not verify_trace(trace._replace(witness="bogus"), FB)
 
 
 def test_verify_returns_false_on_an_impossible_shift():
     trace = alt_trace(tw("x2 x1 x2^-1 x1^-1"), FB)
     shift = trace.steps[0]
     assert shift.rule == "shift"
-    edited = (dataclasses.replace(shift, alpha=2), *trace.steps[1:])
-    assert verify_trace(dataclasses.replace(trace, steps=edited), FB) is False
+    edited = (shift._replace(alpha=2), *trace.steps[1:])
+    assert verify_trace(trace._replace(steps=edited), FB) is False
 
 
 class LengthBackend(FBackend):

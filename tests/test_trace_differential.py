@@ -13,7 +13,6 @@ on the whole word.
 """
 
 import collections
-import dataclasses
 import itertools
 import random
 
@@ -40,9 +39,9 @@ def single_field_edits(trace):
     word rotated by one letter."""
     for i, step in enumerate(trace.steps):
         for edited in (
-            dataclasses.replace(step, rotation=step.rotation + 1),
-            dataclasses.replace(step, alpha=step.alpha + 1),
-            dataclasses.replace(step, output_word=cyclic_shift(step.output_word, 1)),
+            step._replace(rotation=step.rotation + 1),
+            step._replace(alpha=step.alpha + 1),
+            step._replace(output_word=cyclic_shift(step.output_word, 1)),
         ):
             steps = trace.steps[:i] + (edited,) + trace.steps[i + 1 :]
             yield AltTrace(trace.word, steps, trace.verdict, trace.witness)

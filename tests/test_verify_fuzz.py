@@ -212,3 +212,17 @@ def test_integers_outside_ascii_digits_fail_verification(tmp_path):
         path.write_text(json.dumps({**doc, field: value}))
         assert _cli("verify", str(path)) == (
             1, f"verification failed: malformed certificate: not an integer: {bad!r}\n", "")
+
+
+def test_a_negative_max_index_fails_verification_on_every_backend(tmp_path):
+    # zm and mb pools do not depend on K, yet a negative K is no bound
+    docs = [_emit(SOLUTION), _emit(["pool", "--backend", "mb:2", "--pool-len", "1"]),
+            _emit(["rel2sol", "--backend", "zm:2", "--a", "a", "--b", "b", "--pool-len", "0",
+                   "a^-1 b^-1 a b"])]
+    path = tmp_path / "doc.json"
+    for doc in docs:
+        assert verify_certificate(doc) == (True, "ok"), doc["kind"]
+        path.write_text(json.dumps({**doc, "bounds": {**doc["bounds"], "K": -5}}))
+        assert _cli("verify", str(path)) == (
+            1, "verification failed: malformed certificate: at least one generator is needed\n",
+            ""), doc["kind"]

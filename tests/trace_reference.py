@@ -19,7 +19,7 @@ that a change to them in the code under test shows as a difference.
 
 from __future__ import annotations
 
-from helpers import invert_word
+from helpers import concat, invert_word
 
 from orecert.errors import NotAlternatingError, VerificationError
 from orecert.groups.thompson import FBackend
@@ -27,7 +27,6 @@ from orecert.groups.trace import AltTrace, TraceStep
 from orecert.words import (
     Generator,
     Word,
-    concat,
     cyclic_shift,
     is_alternating,
     print_word,
