@@ -8,6 +8,14 @@ an exhaustion re-runs its search through ``ore.solve``, as the CLI ran it,
 a signed solution has its bounds checked, and a solution's |U| and |V|
 must not exceed n.  All documents are serialised with sorted keys so
 byte-identical output is a function of content only.
+
+Documents are written with a two-space indent by ``dumps``, which returns
+exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline but
+never runs json's pure-Python encoder (the one ``indent`` selects).
+``verify`` compares the compact encodings instead (sorted keys, no
+whitespace), which json writes in C.  The two texts differ only in
+whitespace outside strings, so the compact texts are equal exactly when
+the indented bytes are.
 """
 
 from __future__ import annotations
@@ -38,8 +46,67 @@ from .words import Alphabet, is_alternating, parse_word, print_word
 LABEL_ALPHABET = Alphabet.named("ab")
 
 
+# json's C encoder, which runs only when ``indent`` is None
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_string = json.encoder.encode_basestring_ascii
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for a document whose keys are strings, as every certificate's are."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, newline: str, out: list) -> None:
+    """Append ``x`` to ``out`` as ``json.dumps(x, indent=2, sort_keys=True)``
+    writes it at the depth whose line break and indent is ``newline``:
+    strings through json's C escaper, ints by ``int.__repr__``, and floats
+    by ``json`` itself."""
+    kind = type(x)
+    if kind is str:
+        out.append(_string(x))
+    elif kind is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            v = x[k]
+            if type(v) is str:
+                out.append(sep + _string(k) + ": " + _string(v))
+            else:
+                out.append(sep + _string(k) + ": ")
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in x:
+            if type(v) is str:
+                out.append(sep + _string(v))
+            else:
+                out.append(sep)
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif kind is int:
+        out.append(int.__repr__(x))
+    else:
+        out.append(_compact(x))  # a float, or json's TypeError
 
 
 def _signs_str(signs: tuple[int, int]) -> str:
@@ -362,9 +429,11 @@ def _signed_terms(doc: dict, key: str, backend) -> list:
 
 
 def _same(doc: dict, rebuilt: dict) -> None:
-    if dumps(rebuilt) != dumps(doc):
+    # Compact and indented text differ only in whitespace outside strings,
+    # so equal compact text is equal indented text, and ``dumps`` bytes.
+    if _compact(rebuilt) != _compact(doc):
         key = min(k for k in doc.keys() | rebuilt.keys()
-                  if k not in doc or k not in rebuilt or dumps(doc[k]) != dumps(rebuilt[k]))
+                  if k not in doc or k not in rebuilt or _compact(doc[k]) != _compact(rebuilt[k]))
         raise OrecertError(f"field {key!r} differs from the re-derived certificate")
 
 

@@ -167,6 +167,15 @@ def _verify(args, out) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
+def _integer(text: str) -> int:
+    """``parse_int`` for argparse: its message, not argparse's ``invalid
+    <type> value``, ends the usage error."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orecert")
@@ -196,18 +205,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def search(name, help, n, L):
         p = command(name, help, _ore)
-        p.add_argument("--jobs", type=parse_int, default=1)
+        p.add_argument("--jobs", type=_integer, default=1)
         p.add_argument("--a", required=True)
         p.add_argument("--b", required=True)
-        p.add_argument("--max-support", type=parse_int, default=n)
-        p.add_argument("--pool-len", type=parse_int, default=L)
-        p.add_argument("--pool-idx", type=parse_int, default=2)
+        p.add_argument("--max-support", type=_integer, default=n)
+        p.add_argument("--pool-len", type=_integer, default=L)
+        p.add_argument("--pool-idx", type=_integer, default=2)
         return p
 
     search("ore-search", "search for (1+a)u = (1+b)v in Z+[M]", 3, 3).set_defaults(
         coeff_bound=None, signs="++")
     p = search("ore-signed", "search for (1+-a)u = (1+-b)v in Z[M]", 2, 2)
-    p.add_argument("--coeff-bound", type=parse_int, default=1)
+    p.add_argument("--coeff-bound", type=_integer, default=1)
     p.add_argument("--signs", default="++")
 
     p = command("extract", "relation graph and cycles of a solution certificate", _extract,
@@ -217,19 +226,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("rel2sol", "rebuild a solution from an alternating relation", _rel2sol)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--pool-len", type=parse_int, default=3)
-    p.add_argument("--pool-idx", type=parse_int, default=2)
+    p.add_argument("--pool-len", type=_integer, default=3)
+    p.add_argument("--pool-idx", type=_integer, default=2)
     p.add_argument("word")
 
     p = command("folner", "greedy search for an almost invariant set", _folner)
     p.add_argument("--epsilon", required=True)
     p.add_argument("--delta", default=None)
-    p.add_argument("--budget", type=parse_int, default=100)
-    p.add_argument("--pool-idx", type=parse_int, default=1)
+    p.add_argument("--budget", type=_integer, default=100)
+    p.add_argument("--pool-idx", type=_integer, default=1)
 
     p = command("pool", "enumerate the search pool", _pool)
-    p.add_argument("--pool-len", type=parse_int, default=2)
-    p.add_argument("--pool-idx", type=parse_int, default=2)
+    p.add_argument("--pool-len", type=_integer, default=2)
+    p.add_argument("--pool-idx", type=_integer, default=2)
 
     p = sub.add_parser("verify", help="re-check a certificate document")
     p.set_defaults(run=_verify)

@@ -134,9 +134,11 @@ def greedy_folner_search(backend: Backend, generators, epsilon, budget: int):
     Each element of E and of the frontier is multiplied by each generator
     once, at the first step that scores it (or, for 1, when it is added),
     so a new frontier element is not multiplied when the budget ends the
-    run first.  One exact ratio per step decides the target and the best
-    set, and the returned set's report is built once, from its counts, and
-    equals folner_ratios of E.
+    run first.  One exact ratio per step, 2m/n with m = n - min_g I_g,
+    decides the target and the best set, compared in integers: 2m/n < p/q
+    exactly when 2mq < pn, as n, q > 0, and 2m/n < 2m'/n' exactly when
+    m n' < m' n.  The returned set's report is built once, from its
+    counts, and equals folner_ratios of E.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -184,14 +186,14 @@ def greedy_folner_search(backend: Backend, generators, epsilon, budget: int):
 
     one = backend.identity
     admit(one, score(one))
-    best_ratio = None  # the best set seen is the first best_size of E
+    best_size = 0  # the best set seen is the first best_size of E
     while True:
         size = len(current)
-        ratio = Fraction(2 * (size - min(counts)), size)
-        if ratio < epsilon:
+        moved = size - min(counts)  # the ratio is 2 moved / size
+        if 2 * moved * epsilon.denominator < epsilon.numerator * size:
             return sorted(current), _report(labels, size, counts), True
-        if best_ratio is None or ratio < best_ratio:
-            best_ratio, best_size, best_counts = ratio, size, tuple(counts)
+        if not best_size or moved * best_size < best_moved * size:
+            best_moved, best_size, best_counts = moved, size, tuple(counts)
         if size >= budget or not (fresh or increments):
             return sorted(list(current)[:best_size]), _report(labels, best_size, best_counts), False
         for k in fresh:

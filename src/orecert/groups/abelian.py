@@ -1,7 +1,17 @@
-"""Free abelian groups Z^m: elements are exponent-sum vectors."""
+"""Free abelian groups Z^m: elements are exponent-sum vectors.
+
+The ball of radius L over the generators and their inverses is the set of
+vectors of l1 norm at most L, so it is counted and decided without being
+built.  A vector with exactly k nonzero coordinates and norm at most L is
+a choice of those k coordinates, of their signs, and of k positive
+absolute values with sum at most L, that is of k distinct numbers in
+1..L (the partial sums).  So the ball has sum_k 2^k C(m, k) C(L, k)
+elements.
+"""
 
 from __future__ import annotations
 
+from math import comb
 from operator import add
 
 from ..errors import BackendMismatchError
@@ -47,6 +57,12 @@ class ZmBackend(Backend):
 
     def canonical_str(self, x) -> str:
         return vector_str(x)
+
+    def ball_size(self, length: int, max_index: int | None = None) -> int:
+        return sum(2**k * comb(self.rank, k) * comb(length, k) for k in range(self.rank + 1))
+
+    def in_ball(self, x, length: int, max_index: int | None = None) -> bool:
+        return sum(map(abs, x)) <= length
 
     def element_from_str(self, s: str):
         t = vector_from_str(s)

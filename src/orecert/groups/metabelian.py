@@ -11,6 +11,7 @@ empty.  The element is a tuple (t, flow), and so its own canonical key.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -22,6 +23,15 @@ from .base import Backend, vector_from_str, vector_str
 # An edge (base, d) runs from vertex `base` to `base + e_d`.
 Edge = tuple[tuple[int, ...], int]
 FlowItems = tuple[tuple[Edge, int], ...]
+
+
+# A flow entry ((b1,...,bm),name):v as ``canonical_str`` writes it, read in
+# one pass.  ``MbBackend._read_entry`` reads every entry this matches to the
+# same edge and value, since ``words.parse_int`` takes exactly -?[0-9]+ and
+# reads it with ``int``; an entry this does not match goes to it, and it
+# raises with the message naming the fault, or reads whitespace before the
+# name's comma, which ``vector_from_str`` strips.
+_ENTRY = re.compile(r"\(\(((?:-?[0-9]+,)*-?[0-9]+)?\),([a-w])\):(-?[0-9]+)")
 
 
 class FlowElement(NamedTuple):
@@ -51,6 +61,7 @@ class MbBackend(Backend):
         self.rank = rank
         self.name = f"mb:{rank}"
         self.alphabet = Alphabet.named(rank)
+        self._positions = {name: i for i, name in enumerate(self.alphabet.names)}
 
     @property
     def identity(self) -> FlowElement:
@@ -113,7 +124,7 @@ class MbBackend(Backend):
 
     def canonical_str(self, x: FlowElement) -> str:
         entries = ", ".join(
-            f"(({','.join(str(c) for c in base)}),{self.alphabet.names[d]}):{v}"
+            f"(({','.join(map(str, base))}),{self.alphabet.names[d]}):{v}"
             for (base, d), v in x.flow
         )
         return f"t={vector_str(x.t)}; flow={{{entries}}}"
@@ -128,19 +139,30 @@ class MbBackend(Backend):
         flow: dict[Edge, int] = {}
         body = tail[1:-1].strip()
         if body:
+            positions = self._positions
             for entry in body.split(", "):
-                edge_part, _, value = entry.rpartition(":")
-                if not (edge_part.startswith("((") and edge_part.endswith(")")):
-                    raise ValueError(f"bad flow entry: {entry!r}")
-                inner = edge_part[1:-1]  # "(b1,...,bm),name"
-                base_part, _, name = inner.rpartition(",")
-                base = vector_from_str(base_part)
-                d = self.alphabet.position(Generator(name))
-                flow[(base, d)] = parse_int(value)
+                m = _ENTRY.fullmatch(entry)
+                if m is None or (d := positions.get(m[2])) is None:
+                    edge, v = self._read_entry(entry)
+                else:
+                    base = m[1]
+                    edge, v = (tuple(map(int, base.split(","))) if base else (), d), int(m[3])
+                flow[edge] = v
         x = FlowElement(t, _freeze(flow))
         if boundary_defect(x):
             raise ValueError(f"flow violates the boundary condition: {s!r}")
         return x
+
+    def _read_entry(self, entry: str) -> tuple[Edge, int]:
+        """The edge and value of a flow entry that ``_ENTRY`` does not take.
+        It raises, naming the entry's first fault, on every such entry but
+        one with whitespace before the name's comma."""
+        edge_part, _, value = entry.rpartition(":")
+        if not (edge_part.startswith("((") and edge_part.endswith(")")):
+            raise ValueError(f"bad flow entry: {entry!r}")
+        base_part, _, name = edge_part[1:-1].rpartition(",")  # "(b1,...,bm),name"
+        base = vector_from_str(base_part)
+        return (base, self.alphabet.position(Generator(name))), parse_int(value)
 
 
 def boundary_defect(x: FlowElement) -> dict[tuple[int, ...], int]:
@@ -151,7 +173,9 @@ def boundary_defect(x: FlowElement) -> dict[tuple[int, ...], int]:
     rank = len(x.t)
     net: dict[tuple[int, ...], int] = {}
     for (base, d), v in x.flow:
-        head = tuple(b + (1 if j == d else 0) for j, b in enumerate(base))
+        # base + e_d; a base with no coordinate d (read from a malformed
+        # text) is its own head
+        head = base[:d] + (base[d] + 1,) + base[d + 1 :] if d < len(base) else base
         net[base] = net.get(base, 0) + v
         net[head] = net.get(head, 0) - v
     origin = (0,) * rank

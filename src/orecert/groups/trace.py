@@ -28,8 +28,13 @@ word; ``alt_trace`` asserts that it reads x_0^-1 v x_0 t with v
 free of x_0, and w' is shift(v, 1) t by construction.  What is left is
 the group fact x_0^-1 v x_0 = shift(v, 1), which follows from F's
 relations x_0^-1 x_i x_0 = x_{i+1} (i >= 1; Cannon, Floyd and Parry,
-Enseign. Math. 42, 1996); it is checked in F on those |v| + 2 letters
-only, not on the whole word.  Together these give s^-1 w s = w'.
+Enseign. Math. 42, 1996).  Conjugation by x_0 is a homomorphism and
+shift(., 1) acts letter by letter, so x_0^-1 v x_0 is the product of the
+conjugates x_0^-1 l x_0 of v's letters l, and shift(v, 1) the product of
+their shifts: the fact holds once x_0^-1 l x_0 = shift(l, 1) holds for
+each letter l of v.  That is checked in F, on three letters against one,
+once per distinct letter in one ``alt_trace`` call; nothing is kept
+between calls.  Together these give s^-1 w s = w'.
 ``verify_trace`` re-derives: it accepts exactly the trace ``alt_trace``
 derives for the trace's word.  A failed check or a violated internal
 invariant raises VerificationError and means the implementation is
@@ -115,6 +120,7 @@ def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
         raise NotAlternatingError(f"not an alternating word: {print_word(w)!r}")
     fb = backend or FBackend()
     steps: list[TraceStep] = []
+    conjugated: set = set()  # letters l with x0^-1 l x0 = shift(l, 1) checked in F
     current = w
     while True:
         if not is_alternating(current, cyclic=True):
@@ -142,10 +148,11 @@ def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
         site_ends = (rotated[0], rotated[gap])
         if site_ends != (_X0_INV, _X0) or not v or any(g.index == 0 for g, _ in v):
             raise VerificationError("malformed conjugation site")
-        raised = shift_word(v, 1)
-        if fb.from_word((_X0_INV,) + v + (_X0,)) != fb.from_word(raised):
-            raise _unconfirmed(w)
-        replaced = raised + tail
+        for letter in set(v) - conjugated:
+            if fb.from_word((_X0_INV, letter, _X0)) != fb.from_word(shift_word((letter,), 1)):
+                raise _unconfirmed(w)
+            conjugated.add(letter)
+        replaced = shift_word(v, 1) + tail
         steps.append(
             TraceStep(
                 "conjugate_x0",

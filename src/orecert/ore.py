@@ -32,10 +32,11 @@ forest diagram, it has a word over x0 .. x_K exactly when every caret's
 root index plus its right steps from that root is at most K, and the
 balls are counted by the generating functions of such trees
 (``thompson.posmon_ball_size``).  So a posmon exhaustion that the check
-proves builds no pool at all.  Pools and the check's levels are built by
-``Backend.right_multiplier`` steps, one per generator letter, and a
-group's pool never steps back along the letter that first reached an
-element.
+proves builds no pool at all.  On Z^m the ball is the vectors of l1
+norm at most L, counted in closed form (``ZmBackend.ball_size``).  Pools
+and the check's levels are built by ``Backend.right_multiplier`` steps,
+one per generator letter, and a group's pool never steps back along the
+letter that first reached an element.
 """
 
 from __future__ import annotations

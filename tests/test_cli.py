@@ -493,7 +493,7 @@ def test_argparse_writes_to_the_streams_it_is_given(capsys):
     code, out, err = run("pool", "--pool-len", "\u0662")
     assert (code, out) == (2, "")
     assert err.startswith("usage: orecert pool ")
-    assert err.endswith(": error: argument --pool-len: invalid parse_int value: '\u0662'\n")
+    assert err.endswith(": error: argument --pool-len: not an integer: '\u0662'\n")
     code, out, err = run("--help")
     assert (code, err) == (0, "")
     assert out.startswith("usage: orecert ") and "ore-search" in out
@@ -622,7 +622,7 @@ def test_integer_options_take_only_ascii_digits():
     for argv, option, value in cases:
         code, out, err = run(*argv, option, value)
         assert (code, out) == (2, "")
-        assert err.endswith(f": error: argument {option}: invalid parse_int value: {value!r}\n")
+        assert err.endswith(f": error: argument {option}: not an integer: {value!r}\n")
         assert "Traceback" not in err
     assert run("pool", "--backend", "zm:2", "--pool-len", "-1") == (
         2, "", "error: length must be nonnegative\n")

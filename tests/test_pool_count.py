@@ -1,9 +1,10 @@
-"""Counted posmon pools, pools enumerated on demand, and the bounds and
-printing that go with them.
+"""Counted posmon and zm pools, pools enumerated on demand, and the bounds
+and printing that go with them.
 
 ``PosMonoidBackend.ball_size`` counts forest diagrams instead of building
 the ball, so it is checked against ``enumerate_pool`` and against closed
-forms of the sphere sizes.  An instance builds its pool only when something
+forms of the sphere sizes; ``ZmBackend.ball_size`` and ``in_ball`` are
+checked against the enumerated ball.  An instance builds its pool only when something
 reads the elements, and never twice.
 """
 
@@ -96,7 +97,7 @@ def test_sphere_sizes_match_closed_forms():
 
 
 def test_named_and_group_backends_have_no_count():
-    for name in ("zm:2", "mb:2", "f"):
+    for name in ("mb:2", "f"):
         assert make_backend(name).ball_size(2, 2) is None
 
 
@@ -166,11 +167,46 @@ def test_monoid_rel2sol_enumerates_its_pool_once(count_pools):
 
 
 def test_search_and_verify_enumerate_a_pool_once_each(count_pools, tmp_path):
+    for argv in [
+        ("--backend", "mb:2", "--a", "a", "--b", "a^2", "--max-support", "2", "--pool-len", "1"),
+        ("--backend", "f", "--a", "x0", "--b", "x0", "--max-support", "1", "--pool-len", "1"),
+    ]:
+        count_pools.clear()
+        code, out, _ = run("ore-search", *argv, "--format", "json")
+        assert code == 0 and len(count_pools) == 1
+        assert _verify_doc(tmp_path, json.loads(out))[:2] == (0, "verified: ok\n")
+        assert len(count_pools) == 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_zm_count_and_membership_match_the_enumerated_ball(m):
+    zm = make_backend(f"zm:{m}")
+    for L in range(7):
+        pool = enumerate_pool(zm, L)
+        assert zm.ball_size(L) == zm.ball_size(L, 3) == len(pool)
+        inside = set(pool)
+        # every vector of the box one step wider than the ball
+        for x in itertools.product(range(-L - 1, L + 2), repeat=m):
+            assert zm.in_ball(x, L) == zm.in_ball(x, L, 3) == (x in inside), (x, L)
+
+
+def test_zm_verify_builds_no_pool(monkeypatch, tmp_path):
+    docs = []
     code, out, _ = run("ore-search", "--backend", "zm:2", "--a", "a", "--b", "b",
                        "--max-support", "2", "--pool-len", "2", "--format", "json")
-    assert code == 0 and len(count_pools) == 1
-    assert _verify_doc(tmp_path, json.loads(out))[:2] == (0, "verified: ok\n")
-    assert len(count_pools) == 2
+    assert code == 0
+    docs.append(json.loads(out))
+    path = tmp_path / "sol.json"
+    path.write_text(out)
+    code, out, _ = run("extract", "--format", "json", str(path))
+    assert code == 0
+    docs.append(json.loads(out))
+    refuse_pools(monkeypatch)
+    for doc in docs:
+        assert _verify_doc(tmp_path, doc)[:2] == (0, "verified: ok\n")
+    docs[0]["bounds"]["L"] = 0
+    assert _verify_doc(tmp_path, docs[0])[:2] == (
+        1, "verification failed: U or V has an element outside the pool\n")
 
 
 # -- pool membership decided per element ----------------------------------------
@@ -190,7 +226,7 @@ def test_forest_criterion_is_pool_membership(K):
 
 
 def test_group_and_named_backends_decide_no_membership():
-    for name in ("zm:2", "mb:2", "f"):
+    for name in ("mb:2", "f"):
         backend = make_backend(name)
         assert backend.in_ball(backend.identity, 2, 2) is None
 

@@ -8,7 +8,7 @@ from helpers import alternating_words
 from orecert.errors import NotAlternatingError, VerificationError
 from orecert.groups import FBackend, alt_trace, verify_trace
 from orecert.groups.trace import AltTrace, TraceStep
-from orecert.words import Alphabet, Generator, parse_word, print_word
+from orecert.words import Alphabet, Generator, cyclic_shift, parse_word, print_word
 
 FB = FBackend()
 X = Alphabet.indexed()
@@ -217,3 +217,42 @@ def test_conjugation_site_must_read_x0_inverse_v_x0(monkeypatch):
 def test_exponent_sums():
     sums = trace_reference.exponent_sums(tw("x0 x1 x0^-1 x1"))
     assert sums == {Generator("x", 1): 2}
+
+
+class CountingBackend(FBackend):
+    """Records every word it evaluates."""
+
+    def __init__(self):
+        super().__init__()
+        self.words = []
+
+    def from_word(self, word):
+        self.words.append(word)
+        return super().from_word(word)
+
+
+def _conjugated_words(trace):
+    """The v of each conjugation step's site x0^-1 v x0."""
+    for step in trace.steps:
+        if step.rule == "conjugate_x0":
+            rotated = cyclic_shift(step.input_word, step.rotation)
+            end = next(i for i in range(1, len(rotated)) if rotated[i][0].index == 0)
+            yield rotated[1:end]
+
+
+def test_each_conjugated_letter_is_checked_once_per_call():
+    w = tw("x0^-1 x1 x2^-1 x1 x0 x3 x0^-1 x1 x2^-1 x1 x0 x3^-1")
+    fb = CountingBackend()
+    trace = alt_trace(w, fb)
+    assert trace == alt_trace(w, FB)
+    vs = list(_conjugated_words(trace))
+    letters = {letter for v in vs for letter in v}
+    assert sum(map(len, vs)) > len(letters)  # some letter recurs
+    x0 = Generator("x", 0)
+    checked = [c[1] for c in fb.words if len(c) == 3 and (c[0], c[2]) == ((x0, -1), (x0, 1))]
+    assert sorted(checked) == sorted(letters)
+    shifts = sum(s.rule == "shift" for s in trace.steps)
+    assert len(fb.words) == 2 * shifts + 2 * len(letters)
+    # nothing is kept between calls
+    alt_trace(w, fb)
+    assert len(fb.words) == 2 * (2 * shifts + 2 * len(letters))
