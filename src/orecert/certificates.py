@@ -207,7 +207,7 @@ def rel2sol_certificate(backend, a, b, text: str, length: int, max_index) -> dic
     # a relation of length 2m walks into a solution of mass m
     inst = make_instance(backend, a, b, len(word) // 2, length, max_index)
     try:
-        sol = relation_to_solution(backend, a, b, word, pool=inst.pool)
+        sol = relation_to_solution(backend, a, b, word, None if backend.is_group else inst.pool)
     except NotEmbeddableError:
         reason = "vertices not embeddable in monoid"
     else:

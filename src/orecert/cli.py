@@ -7,8 +7,7 @@ read off it; verify prints one line.  Exit codes: 0 success or verified or
 found, 3 bounded search exhausted, relation not embeddable or Folner target
 missed (a normal negative result), 1 verification failure, 2 usage error.
 Output is deterministic byte for byte.  --backend is taken by the
-subcommands that build a backend from it; the searches run serially, and
---jobs is accepted by ore-search and ore-signed and changes nothing.
+subcommands that build a backend from it; the searches run serially.
 """
 
 from __future__ import annotations
@@ -205,7 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def search(name, help, n, L):
         p = command(name, help, _ore)
-        p.add_argument("--jobs", type=_integer, default=1)
         p.add_argument("--a", required=True)
         p.add_argument("--b", required=True)
         p.add_argument("--max-support", type=_integer, default=n)

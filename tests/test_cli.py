@@ -285,13 +285,13 @@ def test_byte_identical_repeated_runs():
         assert first == second
 
 
-def test_jobs_do_not_change_output():
-    argv = (
-        "ore-search", "--backend", "posmon", "--a", "x0", "--b", "x1",
-        "--max-support", "3", "--pool-len", "3", "--pool-idx", "4",
-        "--format", "json",
-    )
-    assert run(*argv, "--jobs", "1") == run(*argv, "--jobs", "4")
+def test_jobs_is_a_usage_error():
+    for command in ("ore-search", "ore-signed"):
+        code, out, err = run(command, "--backend", "zm:2", "--a", "a", "--b", "b",
+                             "--jobs", "4")
+        assert (code, out) == (2, "")
+        assert err.endswith(": error: unrecognized arguments: --jobs 4\n")
+        assert "Traceback" not in err
 
 
 def _signed_zm2_doc():
@@ -612,7 +612,6 @@ def test_integer_options_take_only_ascii_digits():
         (["pool", "--backend", "zm:2"], "--pool-len", "\u0662"),
         (["pool", "--backend", "zm:2"], "--pool-len", "1_0"),
         (["pool", "--backend", "zm:2"], "--pool-idx", "+2"),
-        (["ore-search", *ZM2_AB], "--jobs", "\u0662"),
         (["ore-search", *ZM2_AB], "--max-support", " 2"),
         (["ore-signed", *ZM2_AB], "--coeff-bound", "\u0662"),
         (["rel2sol", *ZM2_AB, "a b^-1"], "--pool-len", "\u0662"),

@@ -155,8 +155,16 @@ def test_group_rel2sol_enumerates_its_pool_once(count_pools):
     count_pools.clear()
     doc = certs.rel2sol_certificate(zm, zm.from_text("a"), zm.from_text("b"),
                                     "a b a^-1 b^-1", 2, None)
-    assert doc["kind"] == "solution"
-    assert count_pools == [("zm:2", 2, None)]
+    # zm decides membership by norm and counts its ball, so no pool is built
+    assert count_pools == []
+    assert doc == {
+        "backend": "zm:2", "a": "(1,0)", "b": "(0,1)",
+        "bounds": {"n": 2, "L": 2, "K": None, "c": None},
+        "mode": "unsigned", "signs": None, "pool_size": 13, "kind": "solution",
+        "U": ["(0,0)", "(0,1)"], "V": ["(0,0)", "(1,0)"],
+        "lhs": "1*(0,0) + 1*(0,1) + 1*(1,0) + 1*(1,1)",
+        "rhs": "1*(0,0) + 1*(0,1) + 1*(1,0) + 1*(1,1)", "verified": True,
+    }
 
 
 def test_monoid_rel2sol_enumerates_its_pool_once(count_pools):
