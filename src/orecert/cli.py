@@ -262,6 +262,11 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except (OrecertError, ValueError, ZeroDivisionError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except (MemoryError, OverflowError) as exc:
+        # a size no string or list can take, such as the caret string of
+        # x1000000000000000 in F
+        err.write(f"error: input too large to evaluate ({type(exc).__name__})\n")
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -33,10 +33,6 @@ class ZmBackend(Backend):
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
-    def generator_element(self, gen) -> tuple[int, ...]:
-        i = self.alphabet.position(gen)
-        return tuple(1 if j == i else 0 for j in range(self.rank))
-
     def from_word(self, w: Word) -> tuple[int, ...]:
         t = [0] * self.rank
         for gen, exp in w:

@@ -1,15 +1,17 @@
 """Common backend contract for monoid and group element arithmetic.
 
-A backend turns words into elements and multiplies them.
-``from_word`` is a monoid homomorphism from words under concatenation;
-group backends additionally provide ``inverse``.  Elements are immutable
-values that can be shared freely, and each element is its own canonical
-key: ``==`` on elements is equality in the monoid, ``hash`` agrees with it,
-and ``<`` is a total order that fixes every deterministic ordering (pools,
-search ranks, certificate listings).  So sets, dict keys and ``sorted``
-take elements directly, and one ``is_identity`` (``== identity``) and one
-``generators`` (every letter of a named alphabet, or x0 .. x_K of the
-indexed one, x0, x1 when K is None) serve every backend.
+A backend turns words into elements and multiplies them.  ``from_word``
+is a monoid homomorphism from words under concatenation, and it is the one
+place a backend states its generators: each is the element of its
+one-letter word.  Group backends additionally provide ``inverse``.
+Elements are immutable values that can be shared freely, and each element
+is its own canonical key: ``==`` on elements is equality in the monoid,
+``hash`` agrees with it, and ``<`` is a total order that fixes every
+deterministic ordering (pools, search ranks, certificate listings).  So
+sets, dict keys and ``sorted`` take elements directly, and one
+``is_identity`` (``== identity``) and one ``generators`` (every letter of
+a named alphabet, or x0 .. x_K of the indexed one, x0, x1 when K is None)
+serve every backend.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ class Backend:
         raise NotImplementedError
 
     def from_word(self, w: Word):
-        raise NotImplementedError
-
-    def generator_element(self, gen):
         raise NotImplementedError
 
     def from_text(self, text: str):
@@ -77,13 +76,14 @@ class Backend:
     def generators(self, max_index: int | None = None) -> list:
         """Standard generating elements, as (label, element) pairs: every
         letter of a named alphabet, or x0 .. x_K of the indexed one for
-        K = ``max_index`` (x0, x1 when it is None)."""
+        K = ``max_index`` (x0, x1 when it is None), each the element of its
+        one-letter word."""
         if self.alphabet.kind == "named":
             count = len(self.alphabet.names)
         else:
             count = 2 if max_index is None else max_index + 1
         gens = [self.alphabet.generator(i) for i in range(count)]
-        return [(str(g), self.generator_element(g)) for g in gens]
+        return [(str(g), self.from_word(((g, 1),))) for g in gens]
 
     def ball_size(self, length: int, max_index: int | None = None) -> int | None:
         """Number of elements of the ball ``ore.enumerate_pool`` builds for

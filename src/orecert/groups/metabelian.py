@@ -67,11 +67,6 @@ class MbBackend(Backend):
     def identity(self) -> FlowElement:
         return FlowElement((0,) * self.rank, ())
 
-    def generator_element(self, gen) -> FlowElement:
-        i = self.alphabet.position(gen)
-        t = tuple(1 if j == i else 0 for j in range(self.rank))
-        return FlowElement(t, ((((0,) * self.rank, i), 1),))
-
     def from_word(self, w: Word) -> FlowElement:
         pos = [0] * self.rank
         flow: dict[Edge, int] = {}

@@ -29,7 +29,11 @@ pairwise.  No helper recurses, so trees of any depth are fine.
 The positive monoid backend keeps elements in rewriting normal form: the
 rule x_j x_i -> x_i x_{j+1} (i < j) is terminating and confluent on
 positive words, and the irreducible words are exactly the non-decreasing
-index sequences.
+index sequences.  One routine applies the rule, ``_prepend_generator``,
+which multiplies a normal form by one letter on the left.
+``pos_normalize`` feeds it a word's letters from the last to the first,
+and ``multiply(x, y)`` feeds it x's letters, last first, onto y: a product
+takes one insertion per letter of x, however short y is.
 """
 
 from __future__ import annotations
@@ -368,9 +372,6 @@ class FBackend(Backend):
     def identity(self) -> TreePair:
         return TreePair("L", "L")
 
-    def generator_element(self, gen) -> TreePair:
-        return self.generator_pair(self.alphabet.position(gen))
-
     def generator_pair(self, i: int) -> TreePair:
         if i < 0:
             raise ValueError("generator index must be nonnegative")
@@ -442,15 +443,6 @@ class FBackend(Backend):
 
 
 NormalForm = tuple[int, ...]
-
-
-def _append_generator(nf: NormalForm, q: int) -> NormalForm:
-    # Right-multiplying a normal form by x_q: every trailing index p > q is
-    # bumped to p+1 and q is inserted before them.
-    cut = len(nf)
-    while cut > 0 and nf[cut - 1] > q:
-        cut -= 1
-    return nf[:cut] + (q,) + tuple(p + 1 for p in nf[cut:])
 
 
 def _prepend_generator(nf: list[int], q: int) -> None:
@@ -572,23 +564,15 @@ class PosMonoidBackend(Backend):
     def identity(self) -> NormalForm:
         return ()
 
-    def generator_element(self, gen) -> NormalForm:
-        i = self.alphabet.position(gen)
-        return (i,)
-
     def from_word(self, w: Word) -> NormalForm:
         return pos_normalize(w)
 
     def multiply(self, x: NormalForm, y: NormalForm) -> NormalForm:
-        # each letter of the shorter factor goes onto the other's end
-        if len(x) < len(y):
-            nf = list(y)
-            for q in reversed(x):
-                _prepend_generator(nf, q)
-            return tuple(nf)
-        for q in y:
-            x = _append_generator(x, q)
-        return x
+        # x's letters enter y's normal form from the left, last letter first
+        nf = list(y)
+        for q in reversed(x):
+            _prepend_generator(nf, q)
+        return tuple(nf)
 
     # The element is its own key; kept per class so bench/tracer.py can wrap it.
     def canonical_key(self, x: NormalForm):

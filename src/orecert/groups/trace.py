@@ -57,6 +57,7 @@ from ..words import (
 from .thompson import FBackend
 
 
+_FB = FBackend()  # the tree-pair backend that checks every step
 _X0 = (Generator("x", 0), 1)
 _X0_INV = (Generator("x", 0), -1)
 
@@ -110,7 +111,7 @@ def _unconfirmed(w: Word) -> VerificationError:
     return VerificationError(f"trace of {print_word(w)} not confirmed by the tree-pair backend")
 
 
-def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
+def alt_trace(w: Word) -> AltTrace:
     """Certify that an alternating word is nontrivial in F.
 
     Raises NotAlternatingError for inputs without the alternating shape
@@ -118,7 +119,6 @@ def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
     """
     if not (is_alternating(w) or is_alternating(w, cyclic=True)):
         raise NotAlternatingError(f"not an alternating word: {print_word(w)!r}")
-    fb = backend or FBackend()
     steps: list[TraceStep] = []
     conjugated: set = set()  # letters l with x0^-1 l x0 = shift(l, 1) checked in F
     current = w
@@ -136,7 +136,7 @@ def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
             break
         if alpha > 0:
             shifted = shift_word(current, -alpha)
-            if fb.is_identity(fb.from_word(current)) != fb.is_identity(fb.from_word(shifted)):
+            if _FB.is_identity(_FB.from_word(current)) != _FB.is_identity(_FB.from_word(shifted)):
                 raise _unconfirmed(w)
             steps.append(TraceStep("shift", current, shifted, alpha=alpha))
             current = shifted
@@ -149,7 +149,7 @@ def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
         if site_ends != (_X0_INV, _X0) or not v or any(g.index == 0 for g, _ in v):
             raise VerificationError("malformed conjugation site")
         for letter in set(v) - conjugated:
-            if fb.from_word((_X0_INV, letter, _X0)) != fb.from_word(shift_word((letter,), 1)):
+            if _FB.from_word((_X0_INV, letter, _X0)) != _FB.from_word(shift_word((letter,), 1)):
                 raise _unconfirmed(w)
             conjugated.add(letter)
         replaced = shift_word(v, 1) + tail
@@ -166,10 +166,10 @@ def alt_trace(w: Word, backend: FBackend | None = None) -> AltTrace:
     return AltTrace(w, tuple(steps), "nontrivial", witness)
 
 
-def verify_trace(trace: AltTrace, backend: FBackend | None = None) -> bool:
+def verify_trace(trace: AltTrace) -> bool:
     """True iff ``trace`` is exactly the trace ``alt_trace`` derives for its
     word, so every claim it makes has been re-checked in F."""
     try:
-        return alt_trace(trace.word, backend) == trace
+        return alt_trace(trace.word) == trace
     except OrecertError:
         return False

@@ -130,8 +130,6 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     """
     chunks = text.split()
     seen: dict[str, tuple[Generator, int]] = {}  # name as written -> (generator, sign)
-    if len(chunks) < 2:
-        return tuple(_scan(text, 0, len(text), alphabet, seen))
     # Each distinct chunk is read once; a repeat reuses its letters.
     letters: list[Letter] = []
     read: dict[str, list[Letter]] = {}

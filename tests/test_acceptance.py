@@ -66,8 +66,8 @@ def test_criterion_01_alternating_words_nontrivial_in_f():
             if fb.is_identity(fb.from_word(w)):
                 ok = False
                 break
-            trace = alt_trace(w, fb)
-            if trace.verdict != "nontrivial" or not verify_trace(trace, fb):
+            trace = alt_trace(w)
+            if trace.verdict != "nontrivial" or not verify_trace(trace):
                 ok = False
                 break
             checked += 1

@@ -606,6 +606,14 @@ def test_oversized_power_is_a_usage_error():
         assert err.count("\n") == 1
 
 
+def test_a_generator_index_too_large_to_evaluate_is_a_usage_error():
+    # x_k in F is a caret string of 2k + 5 characters: at 10^15 its
+    # allocation fails at once, and past sys.maxsize it has no length
+    for index, error in ((10**15, "MemoryError"), (10**19, "OverflowError")):
+        assert run("wp", "--backend", "f", f"x{index}") == (
+            2, "", f"error: input too large to evaluate ({error})\n")
+
+
 def test_integer_options_take_only_ascii_digits():
     # int() would read each of these values as 2 or 10
     cases = [

@@ -5,11 +5,11 @@ A step is the map x -> x*y with y recognised once.  F turns a generator
 letter into a rotation step that never calls ``multiply``; the other
 backends keep the default step, which does.  Every step must give
 ``multiply(x, y)``, and MB_m's ``multiply``, which splices a letter's one
-edge into the sorted flow on either side, and posmon's, which inserts a
-shorter left factor at the front, must give the element of the
-concatenated word.  The pool and the relation check, which take their products
-through steps, must match references that call ``multiply`` for every
-product and skip nothing.
+edge into the sorted flow on either side, and posmon's, which inserts the
+left factor's letters at the front of the right factor, must give the
+element of the concatenated word.  The pool and the relation check, which
+take their products through steps, must match references that call
+``multiply`` for every product and skip nothing.
 """
 
 import hashlib
@@ -117,7 +117,7 @@ def test_letter_products_match_concatenation(name, alphabet):
 @pytest.mark.parametrize("name, alphabet", BACKENDS, ids=[b[0] for b in BACKENDS])
 def test_left_letter_and_general_products_match_concatenation(name, alphabet):
     # MB_m splices a left letter's edge into y's shifted flow, and posmon
-    # inserts the shorter left factor's letters at the front of y
+    # inserts x's letters, last first, at the front of y
     backend = make_backend(name)
     rng = random.Random(23)
     shapes = set()
@@ -140,6 +140,12 @@ def test_left_letter_and_general_products_match_concatenation(name, alphabet):
         assert backend.multiply(backend.inverse(a), backend.from_text("a b a")) == backend.from_text("b a")
     if name == "posmon":
         assert shapes == {-1, 0, 1}
+    # words of up to 40 letters times words of up to 3, in both orders
+    for _ in range(40):
+        u, w = random_word(rng, alphabet, 40), random_word(rng, alphabet, 3)
+        for left, right in ((u, w), (w, u)):
+            x, y = backend.from_word(left), backend.from_word(right)
+            assert backend.multiply(x, y) == backend.from_word(left + right), (left, right)
 
 
 @pytest.mark.parametrize("name, digest", [

@@ -342,14 +342,15 @@ def test_confluence_strategies_agree():
 
 def test_left_insertion_equals_the_multiply_fold():
     # Words of the f-words benchmark's shape: up to 400 letters over
-    # x0..x5.  PM.multiply appends on the right, so the fold reads each
-    # word left to right where pos_normalize reads it right to left.
+    # x0..x5.  The fold reads each word left to right, so PM.multiply
+    # inserts the whole product so far into one letter, where
+    # pos_normalize reads the word right to left, one letter at a time.
     rng = random.Random(18)
     for t in range(200):
         w = tuple((Generator("x", rng.randrange(6)), 1) for _ in range(rng.randrange(0, 401)))
         fold = PM.identity
-        for gen, _ in w:
-            fold = PM.multiply(fold, PM.generator_element(gen))
+        for letter in w:
+            fold = PM.multiply(fold, PM.from_word((letter,)))
         nf = pos_normalize(w)
         assert nf == fold, w
         if t % 20 == 0:

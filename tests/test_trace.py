@@ -19,7 +19,7 @@ def tw(text):
 
 
 def test_commutator_trace_matches_hand_execution():
-    trace = alt_trace(tw("x0 x1 x0^-1 x1^-1"), FB)
+    trace = alt_trace(tw("x0 x1 x0^-1 x1^-1"))
     assert trace.verdict == "nontrivial"
     assert [s.rule for s in trace.steps] == ["conjugate_x0", "witness"]
     conj = trace.steps[0]
@@ -27,51 +27,51 @@ def test_commutator_trace_matches_hand_execution():
     assert print_word(conj.conjugator) == "x0 x1"
     assert print_word(conj.output_word) == "x2^-1 x1"
     assert trace.witness == "exponent sum of x1 is +1"
-    assert verify_trace(trace, FB)
+    assert verify_trace(trace)
 
 
 def test_immediate_witness():
-    trace = alt_trace(tw("x0 x1"), FB)
+    trace = alt_trace(tw("x0 x1"))
     assert [s.rule for s in trace.steps] == ["witness"]
     assert trace.witness == "exponent sum of x0 is +1"
 
 
 def test_longer_word_traces_nontrivial():
-    trace = alt_trace(tw("x2 x1 x0^-1 x3^-1"), FB)
+    trace = alt_trace(tw("x2 x1 x0^-1 x3^-1"))
     assert trace.verdict == "nontrivial"
     assert len(trace.steps) >= 1
     assert not FB.is_identity(FB.from_word(tw("x2 x1 x0^-1 x3^-1")))
 
 
 def test_shift_step_fires_for_positive_minimum():
-    trace = alt_trace(tw("x2 x1 x2^-1 x1^-1"), FB)
+    trace = alt_trace(tw("x2 x1 x2^-1 x1^-1"))
     rules = [s.rule for s in trace.steps]
     assert "shift" in rules
     shift = trace.steps[rules.index("shift")]
     assert shift.alpha == 1
     assert print_word(shift.output_word) == "x1 x0 x1^-1 x0^-1"
     assert trace.verdict == "nontrivial"
-    assert verify_trace(trace, FB)
+    assert verify_trace(trace)
 
 
 def test_cyclic_input_accepted():
     # Rotation of an alternating word: odd subscript first.
-    trace = alt_trace(tw("x1 x0 x1^-1 x0^-1"), FB)
+    trace = alt_trace(tw("x1 x0 x1^-1 x0^-1"))
     assert trace.verdict == "nontrivial"
 
 
 def test_non_alternating_rejected():
     with pytest.raises(NotAlternatingError):
-        alt_trace(tw("x0 x2"), FB)
+        alt_trace(tw("x0 x2"))
     with pytest.raises(NotAlternatingError):
-        alt_trace((), FB)
+        alt_trace(())
     with pytest.raises(NotAlternatingError):
-        alt_trace(tw("x0 x1 x0"), FB)
+        alt_trace(tw("x0 x1 x0"))
 
 
 def test_conjugate_steps_shrink_by_two():
     for w in alternating_words(3):
-        trace = alt_trace(w, FB)
+        trace = alt_trace(w)
         for step in trace.steps:
             if step.rule == "conjugate_x0":
                 assert len(step.output_word) == len(step.input_word) - 2
@@ -89,16 +89,16 @@ def test_exhaustive_short_words_with_wider_alphabet():
         slots = [evens, odds] * k
         for combo in itertools.product(*slots):
             w = tuple(combo)
-            trace = alt_trace(w, FB)
+            trace = alt_trace(w)
             assert trace.verdict == "nontrivial"
-            assert verify_trace(trace, FB)
+            assert verify_trace(trace)
             assert not FB.is_identity(FB.from_word(w))
             count += 1
     assert count == 16 + 256 + 4096
 
 
 def test_verify_rejects_tampered_trace():
-    trace = alt_trace(tw("x0 x1 x0^-1 x1^-1"), FB)
+    trace = alt_trace(tw("x0 x1 x0^-1 x1^-1"))
     bad_steps = list(trace.steps)
     bad_steps[-1] = type(bad_steps[-1])(
         "witness",
@@ -108,21 +108,21 @@ def test_verify_rejects_tampered_trace():
         witness="exponent sum of x1 is +2",
     )
     tampered = AltTrace(trace.word, tuple(bad_steps), "nontrivial", "bogus")
-    assert not verify_trace(tampered, FB)
+    assert not verify_trace(tampered)
 
 
 def test_verify_rejects_broken_chain():
-    t1 = alt_trace(tw("x0 x1 x0^-1 x1^-1"), FB)
-    t2 = alt_trace(tw("x0 x3 x0^-1 x3^-1"), FB)
+    t1 = alt_trace(tw("x0 x1 x0^-1 x1^-1"))
+    t2 = alt_trace(tw("x0 x3 x0^-1 x3^-1"))
     mixed = AltTrace(t1.word, t2.steps, t2.verdict, t2.witness)
-    assert not verify_trace(mixed, FB)
+    assert not verify_trace(mixed)
 
 
 def test_verify_rejects_valid_but_non_canonical_trace():
     # The first x0^-1 v x0 site is at 0; taking the one at 4 instead gives a
     # trace whose every step holds in F, but alt_trace does not derive it.
     w = tw("x0^-1 x1 x0 x1 x0^-1 x3 x0 x1^-1")
-    assert alt_trace(w, FB).steps[0].rotation == 0
+    assert alt_trace(w).steps[0].rotation == 0
     first = TraceStep(
         "conjugate_x0",
         w,
@@ -130,30 +130,35 @@ def test_verify_rejects_valid_but_non_canonical_trace():
         rotation=4,
         conjugator=w[:4],
     )
-    rest = alt_trace(first.output_word, FB)
+    rest = alt_trace(first.output_word)
     other = AltTrace(w, (first, *rest.steps), "nontrivial", rest.witness)
-    assert trace_reference.verify_trace(other, FB)
-    assert not verify_trace(other, FB)
+    assert trace_reference.verify_trace(other)
+    assert not verify_trace(other)
 
 
 def test_verify_reads_every_field():
-    trace = alt_trace(tw("x0 x1 x0^-1 x1^-1"), FB)
+    trace = alt_trace(tw("x0 x1 x0^-1 x1^-1"))
     conj, witness = trace.steps
     for edited in (
         (conj._replace(alpha=7), witness),
         (conj._replace(witness="anything"), witness),
         (conj, witness._replace(rotation=5)),
     ):
-        assert not verify_trace(trace._replace(steps=edited), FB)
-    assert not verify_trace(trace._replace(witness="bogus"), FB)
+        assert not verify_trace(trace._replace(steps=edited))
+    assert not verify_trace(trace._replace(witness="bogus"))
 
 
 def test_verify_returns_false_on_an_impossible_shift():
-    trace = alt_trace(tw("x2 x1 x2^-1 x1^-1"), FB)
+    trace = alt_trace(tw("x2 x1 x2^-1 x1^-1"))
     shift = trace.steps[0]
     assert shift.rule == "shift"
     edited = (shift._replace(alpha=2), *trace.steps[1:])
-    assert verify_trace(trace._replace(steps=edited), FB) is False
+    assert verify_trace(trace._replace(steps=edited)) is False
+
+
+def _check_in(monkeypatch, backend):
+    """Make alt_trace and verify_trace check every step in ``backend``."""
+    monkeypatch.setattr("orecert.groups.trace._FB", backend)
 
 
 class LengthBackend(FBackend):
@@ -163,11 +168,13 @@ class LengthBackend(FBackend):
         return len(word)
 
 
-def test_failed_f_check_raises_and_verify_returns_false():
+def test_failed_f_check_raises_and_verify_returns_false(monkeypatch):
     w = tw("x0 x1 x0^-1 x1^-1")
+    trace = alt_trace(w)
+    _check_in(monkeypatch, LengthBackend())
     with pytest.raises(VerificationError, match="not confirmed by the tree-pair backend"):
-        alt_trace(w, LengthBackend())
-    assert verify_trace(alt_trace(w, FB), LengthBackend()) is False
+        alt_trace(w)
+    assert verify_trace(trace) is False
 
 
 class ShiftBlindBackend(FBackend):
@@ -177,13 +184,15 @@ class ShiftBlindBackend(FBackend):
         return x == self.from_word(tw("x1 x0 x1^-1 x0^-1"))
 
 
-def test_shift_that_changes_identity_status_raises():
+def test_shift_that_changes_identity_status_raises(monkeypatch):
     # Only the shift step reads is_identity: the conjugations still hold.
-    assert alt_trace(tw("x0 x1 x0^-1 x1^-1"), ShiftBlindBackend()).steps
     w = tw("x2 x1 x2^-1 x1^-1")
+    trace = alt_trace(w)
+    _check_in(monkeypatch, ShiftBlindBackend())
+    assert alt_trace(tw("x0 x1 x0^-1 x1^-1")).steps
     with pytest.raises(VerificationError, match="not confirmed by the tree-pair backend"):
-        alt_trace(w, ShiftBlindBackend())
-    assert verify_trace(alt_trace(w, FB), ShiftBlindBackend()) is False
+        alt_trace(w)
+    assert verify_trace(trace) is False
 
 
 class SwappedBackend(FBackend):
@@ -196,13 +205,15 @@ class SwappedBackend(FBackend):
         )
 
 
-def test_local_conjugation_check_catches_a_wrong_relation():
+def test_local_conjugation_check_catches_a_wrong_relation(monkeypatch):
     w = tw("x0 x1 x0^-1 x1^-1")
-    conj = alt_trace(w, FB).steps[0]
+    trace = alt_trace(w)
+    conj = trace.steps[0]
     assert conj.rule == "conjugate_x0" and print_word(conj.output_word) == "x2^-1 x1"
+    _check_in(monkeypatch, SwappedBackend())
     with pytest.raises(VerificationError, match="not confirmed by the tree-pair backend"):
-        alt_trace(w, SwappedBackend())
-    assert verify_trace(alt_trace(w, FB), SwappedBackend()) is False
+        alt_trace(w)
+    assert verify_trace(trace) is False
 
 
 def test_conjugation_site_must_read_x0_inverse_v_x0(monkeypatch):
@@ -211,7 +222,7 @@ def test_conjugation_site_must_read_x0_inverse_v_x0(monkeypatch):
     # site's end letters rejects it.
     monkeypatch.setattr("orecert.groups.trace._leftmost_conjugation_site", lambda w: (0, 2))
     with pytest.raises(VerificationError, match="malformed conjugation site"):
-        alt_trace(tw("x0 x1 x0^-1 x1^-1"), FB)
+        alt_trace(tw("x0 x1 x0^-1 x1^-1"))
 
 
 def test_exponent_sums():
@@ -240,11 +251,13 @@ def _conjugated_words(trace):
             yield rotated[1:end]
 
 
-def test_each_conjugated_letter_is_checked_once_per_call():
+def test_each_conjugated_letter_is_checked_once_per_call(monkeypatch):
     w = tw("x0^-1 x1 x2^-1 x1 x0 x3 x0^-1 x1 x2^-1 x1 x0 x3^-1")
+    want = alt_trace(w)
     fb = CountingBackend()
-    trace = alt_trace(w, fb)
-    assert trace == alt_trace(w, FB)
+    _check_in(monkeypatch, fb)
+    trace = alt_trace(w)
+    assert trace == want
     vs = list(_conjugated_words(trace))
     letters = {letter for v in vs for letter in v}
     assert sum(map(len, vs)) > len(letters)  # some letter recurs
@@ -254,5 +267,5 @@ def test_each_conjugated_letter_is_checked_once_per_call():
     shifts = sum(s.rule == "shift" for s in trace.steps)
     assert len(fb.words) == 2 * shifts + 2 * len(letters)
     # nothing is kept between calls
-    alt_trace(w, fb)
+    alt_trace(w)
     assert len(fb.words) == 2 * (2 * shifts + 2 * len(letters))

@@ -18,11 +18,9 @@ import random
 
 import trace_reference
 
-from orecert.groups import FBackend, alt_trace, verify_trace
+from orecert.groups import alt_trace, verify_trace
 from orecert.groups.trace import AltTrace
 from orecert.words import Generator, cyclic_shift
-
-FB = FBackend()
 
 
 def wider_alphabet_words():
@@ -49,7 +47,7 @@ def single_field_edits(trace):
 
 def reference_accepts(trace):
     try:
-        return trace_reference.verify_trace(trace, FB)
+        return trace_reference.verify_trace(trace)
     except ValueError:
         return False
 
@@ -57,13 +55,13 @@ def reference_accepts(trace):
 def test_reverify_is_at_least_as_strict_as_the_reference():
     words = edits = accepted = 0
     for w in wider_alphabet_words():
-        trace = alt_trace(w, FB)
-        assert verify_trace(trace, FB)
+        trace = alt_trace(w)
+        assert verify_trace(trace)
         assert reference_accepts(trace)
         words += 1
         for edited in single_field_edits(trace):
             assert edited != trace
-            if verify_trace(edited, FB):
+            if verify_trace(edited):
                 assert reference_accepts(edited)
                 accepted += 1
             edits += 1
@@ -101,8 +99,8 @@ def test_local_checks_derive_the_whole_word_checked_traces():
     words = 0
     rules = collections.Counter()
     for w in itertools.chain(wider_alphabet_words(), seeded_alternating_words()):
-        trace = alt_trace(w, FB)
-        assert trace == trace_reference.alt_trace(w, FB)
+        trace = alt_trace(w)
+        assert trace == trace_reference.alt_trace(w)
         assert reference_accepts(trace)
         words += 1
         rules.update(step.rule for step in trace.steps)

@@ -181,6 +181,17 @@ def test_oversized_powers_in_documents_fail_verification(tmp_path):
                             r"\(at position \d+\)\n", out), out
 
 
+def test_a_generator_index_too_large_to_evaluate_is_a_usage_error(tmp_path):
+    # the caret string of x_k in F cannot be allocated at these k
+    doc = _emit(["wp", "--backend", "f", "x1"])
+    path = tmp_path / "doc.json"
+    for word, error in (("x1000000000000000", "MemoryError"),
+                        ("x10000000000000000000", "OverflowError")):
+        path.write_text(json.dumps({**doc, "word": word}))
+        assert _cli("verify", str(path)) == (
+            2, "", f"error: input too large to evaluate ({error})\n")
+
+
 @pytest.mark.parametrize("text", ["(1_0,2,3)", "(\u0661,2,3)", "(+1,2,3)", "(1, 2,3)", "(1,2,3 )"])
 def test_a_vector_takes_only_ascii_digits(text):
     # int() reads each of these, (1_0,2,3) as (10, 2, 3)
