@@ -465,7 +465,13 @@ def _check_rel2sol_failure(doc: dict) -> None:
 
 def _check_folner(doc: dict) -> None:
     backend = _backend(doc)
-    generators = [(label, backend.from_text(label)) for label in _strings(doc, "generators")]
+    # the labels are compared before any is built: every letter of a named
+    # alphabet, or x0 .. x_(n-1) for n labels of the indexed one
+    labels, alphabet = _strings(doc, "generators"), backend.alphabet
+    count = len(alphabet.names) if alphabet.kind == "named" else len(labels)
+    if labels != [str(alphabet.generator(i)) for i in range(count)]:
+        raise OrecertError(f"field 'generators' must list {backend.name}'s standard generators")
+    generators = [(label, backend.from_text(label)) for label in labels]
     E = [backend.element_from_str(s) for s in _strings(doc, "E")]
     epsilon = parse_ratio("epsilon", _get(doc, "epsilon", str))
     delta = _get(doc, "delta", str, optional=True)

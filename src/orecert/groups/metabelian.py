@@ -7,6 +7,10 @@ traversals minus backward traversals.  Edges point in the positive
 coordinate direction, so one edge carries a single signed integer; zero
 entries are dropped.  An element is the identity iff t = 0 and the flow is
 empty.  The element is a tuple (t, flow), and so its own canonical key.
+
+``element_from_str`` reads only what ``canonical_str`` writes, each flow
+entry in one pass: every base has m coordinates, every name is in the
+alphabet, so no text reads to a flow outside Z^m.
 """
 
 from __future__ import annotations
@@ -17,21 +21,12 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from ..errors import BackendMismatchError
-from ..words import Alphabet, Generator, Word, parse_int
+from ..words import Alphabet, Word
 from .base import Backend, vector_from_str, vector_str
 
 # An edge (base, d) runs from vertex `base` to `base + e_d`.
 Edge = tuple[tuple[int, ...], int]
 FlowItems = tuple[tuple[Edge, int], ...]
-
-
-# A flow entry ((b1,...,bm),name):v as ``canonical_str`` writes it, read in
-# one pass.  ``MbBackend._read_entry`` reads every entry this matches to the
-# same edge and value, since ``words.parse_int`` takes exactly -?[0-9]+ and
-# reads it with ``int``; an entry this does not match goes to it, and it
-# raises with the message naming the fault, or reads whitespace before the
-# name's comma, which ``vector_from_str`` strips.
-_ENTRY = re.compile(r"\(\(((?:-?[0-9]+,)*-?[0-9]+)?\),([a-w])\):(-?[0-9]+)")
 
 
 class FlowElement(NamedTuple):
@@ -62,6 +57,12 @@ class MbBackend(Backend):
         self.name = f"mb:{rank}"
         self.alphabet = Alphabet.named(rank)
         self._positions = {name: i for i, name in enumerate(self.alphabet.names)}
+        # a flow entry ((b1,...,bm),name):v as ``canonical_str`` writes it,
+        # with m = rank coordinates; -?[0-9]+ is what words.parse_int takes
+        self._entry = re.compile(
+            r"\(\((-?[0-9]+(?:,-?[0-9]+){%d})\),([%s])\):(-?[0-9]+)"
+            % (rank - 1, "".join(self.alphabet.names))
+        ).fullmatch
 
     @property
     def identity(self) -> FlowElement:
@@ -134,30 +135,16 @@ class MbBackend(Backend):
         flow: dict[Edge, int] = {}
         body = tail[1:-1].strip()
         if body:
-            positions = self._positions
+            entry_match, positions = self._entry, self._positions
             for entry in body.split(", "):
-                m = _ENTRY.fullmatch(entry)
-                if m is None or (d := positions.get(m[2])) is None:
-                    edge, v = self._read_entry(entry)
-                else:
-                    base = m[1]
-                    edge, v = (tuple(map(int, base.split(","))) if base else (), d), int(m[3])
-                flow[edge] = v
+                m = entry_match(entry)
+                if m is None:
+                    raise ValueError(f"bad flow entry: {entry!r}")
+                flow[tuple(map(int, m[1].split(","))), positions[m[2]]] = int(m[3])
         x = FlowElement(t, _freeze(flow))
         if boundary_defect(x):
             raise ValueError(f"flow violates the boundary condition: {s!r}")
         return x
-
-    def _read_entry(self, entry: str) -> tuple[Edge, int]:
-        """The edge and value of a flow entry that ``_ENTRY`` does not take.
-        It raises, naming the entry's first fault, on every such entry but
-        one with whitespace before the name's comma."""
-        edge_part, _, value = entry.rpartition(":")
-        if not (edge_part.startswith("((") and edge_part.endswith(")")):
-            raise ValueError(f"bad flow entry: {entry!r}")
-        base_part, _, name = edge_part[1:-1].rpartition(",")  # "(b1,...,bm),name"
-        base = vector_from_str(base_part)
-        return (base, self.alphabet.position(Generator(name))), parse_int(value)
 
 
 def boundary_defect(x: FlowElement) -> dict[tuple[int, ...], int]:
@@ -168,9 +155,7 @@ def boundary_defect(x: FlowElement) -> dict[tuple[int, ...], int]:
     rank = len(x.t)
     net: dict[tuple[int, ...], int] = {}
     for (base, d), v in x.flow:
-        # base + e_d; a base with no coordinate d (read from a malformed
-        # text) is its own head
-        head = base[:d] + (base[d] + 1,) + base[d + 1 :] if d < len(base) else base
+        head = base[:d] + (base[d] + 1,) + base[d + 1 :]  # base + e_d
         net[base] = net.get(base, 0) + v
         net[head] = net.get(head, 0) - v
     origin = (0,) * rank

@@ -350,7 +350,7 @@ def _fold(letters: list[int]) -> TreePair:
         while trees and trees[-1] == "L" and domain.endswith("CLL"):
             trees.pop()
             domain = domain[:-3] + "L"
-    return TreePair(domain, "".join(["C" + s for s in trees]) + "L")
+    return TreePair(domain, "C" + "C".join(trees) + "L" if trees else "L")
 
 
 # Letters folded one at a time before products turn pairwise.  A letter

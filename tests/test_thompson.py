@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -249,6 +250,22 @@ def test_fold_of_a_power_and_its_inverse_is_the_identity(k):
             w = power + invert_word(power)
             assert _fold(_codes(w)) == FB.identity
             assert _fold(_codes(free_reduce(w))) == FB.identity  # the empty word
+
+
+def test_fold_of_a_large_index_joins_the_range_forest_once():
+    # x_k grafts k + 2 trees L onto the forest; joined without a string
+    # per tree, the peak stays near the forest list (8 MiB here) and the
+    # two result strings (about 2 MiB each): 17 MiB
+    k = 10**6
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        x = _fold([k])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x == ("CL" * k + "CCLLL", "CL" * (k + 2) + "L")
+    assert peak < 25 * 2**20
 
 
 def test_from_word_folds_the_freely_reduced_word(monkeypatch):

@@ -170,7 +170,7 @@ def test_oversized_powers_in_documents_fail_verification(tmp_path):
         ("trace", ("word",), "x0 x1" + power),
         ("alt-check", ("word",), "x1" + power),
         ("exhausted", ("a",), "x0" + power),
-        ("folner", ("generators", 0), "x0" + power),
+        ("folner", ("E", 0), "x0" + power),  # generator labels are compared, not parsed
     ]
     path = tmp_path / "doc.json"
     for kind, field, value in edits:
@@ -214,15 +214,32 @@ def test_integers_outside_ascii_digits_fail_verification(tmp_path):
         (zm, "a", "(1, 0)", " 0"),
         (mb, "backend", "mb:+2", "+2"),
         (mb, "a", "t=(0_1,0); flow={((0,0),a):1}", "0_1"),
-        (mb, "a", "t=(1,0); flow={((\u0660,0),a):1}", "\u0660"),
-        (mb, "a", "t=(1,0); flow={((0,0),a):+1}", "+1"),
-        (mb, "a", "t=(1,0); flow={((0,0),a):\u0661}", "\u0661"),
     ]
+    # a flow entry is read only as canonical_str writes it
+    entries = ["((\u0660,0),a):1", "((0,0),a):+1", "((0,0),a):\u0661"]
     path = tmp_path / "doc.json"
     for doc, field, value, bad in edits:
         path.write_text(json.dumps({**doc, field: value}))
         assert _cli("verify", str(path)) == (
             1, f"verification failed: malformed certificate: not an integer: {bad!r}\n", "")
+    for entry in entries:
+        path.write_text(json.dumps({**mb, "a": f"t=(1,0); flow={{{entry}}}"}))
+        assert _cli("verify", str(path)) == (
+            1, f"verification failed: malformed certificate: bad flow entry: {entry!r}\n", "")
+
+
+def test_malformed_f_element_texts_fail_verification(tmp_path):
+    doc = _emit(["folner", "--backend", "f", "--epsilon", "1/2", "--budget", "3"])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert _cli("verify", str(path)) == (0, "verified: ok\n", "")
+    for text, message in [("CLL", "not a tree pair: 'CLL'"),
+                          ("CLL/L", "leaf counts differ"),
+                          ("CLX/CLL", "bad tree character 'X'"),
+                          ("CLL/CL2", "bad tree character '2'")]:
+        path.write_text(json.dumps({**doc, "E": [text] + doc["E"][1:]}))
+        assert _cli("verify", str(path)) == (
+            1, f"verification failed: malformed certificate: {message}\n", ""), text
 
 
 def test_a_negative_max_index_fails_verification_on_every_backend(tmp_path):
