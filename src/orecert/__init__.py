@@ -23,7 +23,7 @@ from .ore import (
     search_signed,
     solve,
 )
-from .semiring import SemiringElement, sr_add, sr_as_multiset, sr_equals, sr_mul
+from .semiring import sr_add, sr_as_multiset, sr_mul
 from .words import (
     Alphabet,
     Generator,

@@ -146,8 +146,8 @@ def solution_certificate(inst: OreInstance, sol: Solution) -> dict:
         "kind": "solution",
         "U": [key_str(x) for x in sol.U],
         "V": [key_str(x) for x in sol.V],
-        "lhs": sr_text(sol.lhs),
-        "rhs": sr_text(sol.rhs),
+        "lhs": sr_text(inst.backend, sol.lhs),
+        "rhs": sr_text(inst.backend, sol.rhs),
         "verified": sol.verified,
     }
 
@@ -163,8 +163,8 @@ def signed_certificate(inst: OreInstance, out: SignedSolution) -> dict:
         "kind": "signed",
         "u": [[c, key_str(g)] for c, g in out.u],
         "v": [[c, key_str(g)] for c, g in out.v],
-        "lhs": sr_text(out.lhs),
-        "rhs": sr_text(out.rhs),
+        "lhs": sr_text(inst.backend, out.lhs),
+        "rhs": sr_text(inst.backend, out.rhs),
         "verified": out.verified,
     }
 

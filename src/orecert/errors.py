@@ -26,7 +26,8 @@ class NotAlternatingError(OrecertError):
 
 
 class BackendMismatchError(OrecertError):
-    """Operands belong to different backends (or different ranks)."""
+    """An element of the wrong rank: a vector or flow text, or a product
+    operand, whose rank is not the backend's."""
 
 
 class ModeMismatchError(OrecertError):

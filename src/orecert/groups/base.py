@@ -68,7 +68,10 @@ class Backend:
         raise NotImplementedError
 
     def element_from_str(self, s: str):
-        """Inverse of canonical_str; used when re-verifying certificates."""
+        """Inverse of canonical_str: x for the text ``canonical_str(x)``.
+        Any other text raises, a ValueError unless a rank or word-syntax
+        error comes first, so a certificate names each element one way.
+        Used when re-verifying certificates."""
         raise NotImplementedError
 
     # -- standard generators ------------------------------------------------
@@ -124,10 +127,11 @@ def vector_str(t: tuple[int, ...]) -> str:
 
 
 def vector_from_str(s: str) -> tuple[int, ...]:
-    body = s.strip()
-    if not (body.startswith("(") and body.endswith(")")):
+    """The vector ``vector_str`` writes as ``s``; any other text raises
+    ValueError."""
+    if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"not a vector: {s!r}")
-    inner = body[1:-1]
-    if not inner:
-        return ()
-    return tuple(map(parse_int, inner.split(",")))
+    t = tuple(map(parse_int, s[1:-1].split(","))) if len(s) > 2 else ()
+    if vector_str(t) != s:
+        raise ValueError(f"not a canonical vector: {s!r}")
+    return t

@@ -10,7 +10,9 @@ empty.  The element is a tuple (t, flow), and so its own canonical key.
 
 ``element_from_str`` reads only what ``canonical_str`` writes, each flow
 entry in one pass: every base has m coordinates, every name is in the
-alphabet, so no text reads to a flow outside Z^m.
+alphabet, every integer is written canonically, every value is nonzero
+and the edges strictly increase, so no text reads to a flow outside Z^m
+and each element has one text.
 """
 
 from __future__ import annotations
@@ -58,10 +60,11 @@ class MbBackend(Backend):
         self.alphabet = Alphabet.named(rank)
         self._positions = {name: i for i, name in enumerate(self.alphabet.names)}
         # a flow entry ((b1,...,bm),name):v as ``canonical_str`` writes it,
-        # with m = rank coordinates; -?[0-9]+ is what words.parse_int takes
+        # with m = rank coordinates, integers as str writes them and v != 0
+        coord = "(?:0|-?[1-9][0-9]*)"
         self._entry = re.compile(
-            r"\(\((-?[0-9]+(?:,-?[0-9]+){%d})\),([%s])\):(-?[0-9]+)"
-            % (rank - 1, "".join(self.alphabet.names))
+            r"\(\((%s(?:,%s){%d})\),([%s])\):(-?[1-9][0-9]*)"
+            % (coord, coord, rank - 1, "".join(self.alphabet.names))
         ).fullmatch
 
     @property
@@ -132,16 +135,19 @@ class MbBackend(Backend):
         t = vector_from_str(head[2:])
         if len(t) != self.rank:
             raise BackendMismatchError(f"expected rank {self.rank}, got {len(t)}")
-        flow: dict[Edge, int] = {}
-        body = tail[1:-1].strip()
+        flow: list[tuple[Edge, int]] = []
+        body = tail[1:-1]
         if body:
             entry_match, positions = self._entry, self._positions
             for entry in body.split(", "):
                 m = entry_match(entry)
                 if m is None:
                     raise ValueError(f"bad flow entry: {entry!r}")
-                flow[tuple(map(int, m[1].split(","))), positions[m[2]]] = int(m[3])
-        x = FlowElement(t, _freeze(flow))
+                edge = (tuple(map(int, m[1].split(","))), positions[m[2]])
+                if flow and not flow[-1][0] < edge:
+                    raise ValueError(f"flow entries out of order at {entry!r}")
+                flow.append((edge, int(m[3])))
+        x = FlowElement(t, tuple(flow))
         if boundary_defect(x):
             raise ValueError(f"flow violates the boundary condition: {s!r}")
         return x

@@ -439,7 +439,10 @@ class FBackend(Backend):
             raise ValueError(f"not a tree pair: {s!r}")
         if tree_leaves(tree_from_str(dom)) != tree_leaves(tree_from_str(rng)):
             raise ValueError("leaf counts differ")
-        return _reduced(dom, rng)
+        x = _reduced(dom, rng)
+        if x != (dom, rng):
+            raise ValueError(f"not a reduced tree pair: {s!r}")
+        return x
 
 
 NormalForm = tuple[int, ...]
@@ -584,10 +587,10 @@ class PosMonoidBackend(Backend):
         return " ".join(f"x{i}" for i in x)
 
     def element_from_str(self, s: str) -> NormalForm:
-        s = s.strip()
-        if s == "1":
-            return ()
-        return self.from_word(self.parse(s))
+        x = () if s == "1" else self.from_word(self.parse(s))
+        if self.canonical_str(x) != s:
+            raise ValueError(f"not a normal form: {s!r}")
+        return x
 
     def ball_size(self, length: int, max_index: int | None = None) -> int:
         return posmon_ball_size(length, max_index)

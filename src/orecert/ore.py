@@ -53,14 +53,7 @@ from .errors import (
     VerificationError,
 )
 from .groups.base import Backend
-from .semiring import (
-    SemiringElement,
-    sr_add,
-    sr_as_multiset,
-    sr_equals,
-    sr_mul,
-    sr_scale,
-)
+from .semiring import sr_add_terms, sr_as_multiset, sr_mul
 from .words import Generator, Word
 
 
@@ -183,8 +176,8 @@ make_instance = OreInstance
 class Solution(NamedTuple):
     U: tuple
     V: tuple
-    lhs: SemiringElement
-    rhs: SemiringElement
+    lhs: dict  # Z[M] elements (see ``semiring``)
+    rhs: dict
     verified: bool
 
 
@@ -197,8 +190,8 @@ class Exhausted(NamedTuple):
 class SignedSolution(NamedTuple):
     u: tuple  # (coeff, element) pairs, sorted by element
     v: tuple
-    lhs: SemiringElement
-    rhs: SemiringElement
+    lhs: dict
+    rhs: dict
     verified: bool
 
 
@@ -392,14 +385,14 @@ def expand_signed(backend, a, b, signs, u, v) -> SignedSolution:
 
     def side(terms, factor, sign):
         terms = tuple(sorted(terms, key=lambda term: term[1]))
-        total = SemiringElement.from_terms(backend, terms)
-        mono = SemiringElement.monomial(backend, factor)
-        return terms, sr_add(total, sr_scale(sr_mul(mono, total), sign))
+        total = sr_add_terms({}, ((g, lam) for lam, g in terms))
+        shifted = sr_mul(backend, {factor: 1}, total)
+        return terms, sr_add_terms(total, ((g, sign * c) for g, c in shifted.items()))
 
     sa, sb = signs
     u_terms, lhs = side(u, a, sa)
     v_terms, rhs = side(v, b, sb)
-    return SignedSolution(u_terms, v_terms, lhs, rhs, sr_equals(lhs, rhs))
+    return SignedSolution(u_terms, v_terms, lhs, rhs, lhs == rhs)
 
 
 def search_signed(inst: OreInstance):

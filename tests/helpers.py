@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from orecert.semiring import SemiringElement, sr_add, sr_mul
+from orecert.semiring import sr_add, sr_mul
 from orecert.words import Generator, Letter, Word
 
 
@@ -48,9 +48,9 @@ def concat(*ws: Word) -> Word:
     return tuple(out)
 
 
-def sr_left_factor(c, x: SemiringElement) -> SemiringElement:
-    """(1 + c) * x, with c a backend element."""
-    translated = sr_mul(SemiringElement.monomial(x.backend, c), x)
+def sr_left_factor(backend, c, x: dict) -> dict:
+    """(1 + c) * x in Z[M], with c a backend element."""
+    translated = sr_mul(backend, {c: 1}, x)
     return sr_add(x, translated)
 
 

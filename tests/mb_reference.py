@@ -7,9 +7,20 @@ the same defects."""
 from __future__ import annotations
 
 from orecert.errors import BackendMismatchError
-from orecert.groups.base import vector_from_str
 from orecert.groups.metabelian import FlowElement, _freeze
 from orecert.words import Generator, parse_int
+
+
+def vector_from_str(s: str) -> tuple[int, ...]:
+    """``groups.base.vector_from_str`` as it read: whitespace around the
+    vector is dropped and each coordinate goes through ``parse_int``."""
+    body = s.strip()
+    if not (body.startswith("(") and body.endswith(")")):
+        raise ValueError(f"not a vector: {s!r}")
+    inner = body[1:-1]
+    if not inner:
+        return ()
+    return tuple(map(parse_int, inner.split(",")))
 
 
 def element_from_str(backend, s: str) -> FlowElement:

@@ -1,5 +1,6 @@
-"""Unpruned serial Ore searches, and the pool and relation check built
-from plain ``multiply`` calls, kept as the oracle for differential tests.
+"""Unpruned serial Ore searches, and the expansion of a solution's two
+sides, the pool and the relation check built from plain ``multiply``
+calls, kept as the oracle for differential tests.
 
 These are the searches ``orecert.ore`` ran before canonical seeding: every
 seed (and, in the signed search, both signs of every seed coefficient)
@@ -11,8 +12,7 @@ first solution and never expand more nodes.
 from __future__ import annotations
 
 from orecert.errors import ModeMismatchError, VerificationError
-from orecert.ore import Exhausted, RelationCheck, SignedSolution, verify_solution
-from orecert.semiring import SemiringElement, sr_add, sr_equals, sr_mul, sr_scale
+from orecert.ore import Exhausted, RelationCheck, SignedSolution, Solution
 
 
 class _Tables:
@@ -44,6 +44,17 @@ def _bump(D: dict, k, delta: int) -> None:
         D[k] = new
     else:
         D.pop(k, None)
+
+
+def _expand(backend, factor, sign, terms) -> dict:
+    """(1 + sign*factor) times the sum of lam*g over the (lam, g) terms,
+    as a dict of nonzero coefficients: one ``multiply`` per term, and no
+    call into ``orecert.semiring``."""
+    out: dict = {}
+    for lam, g in terms:
+        _bump(out, g, lam)
+        _bump(out, backend.multiply(factor, g), sign * lam)
+    return out
 
 
 def reference_common_multiple(inst):
@@ -105,9 +116,13 @@ def reference_common_multiple(inst):
             break
     if hit is None:
         return Exhausted(inst.bounds(), len(t.pool), nodes[0])
-    U = [t.pool[i] for i in hit[0]]
-    V = [t.pool[i] for i in hit[1]]
-    return verify_solution(inst.backend, inst.a, inst.b, U, V)
+    U = sorted(t.pool[i] for i in hit[0])
+    V = sorted(t.pool[i] for i in hit[1])
+    lhs = _expand(inst.backend, inst.a, 1, [(1, g) for g in U])
+    rhs = _expand(inst.backend, inst.b, 1, [(1, g) for g in V])
+    if lhs != rhs:
+        raise VerificationError("solution failed verification")
+    return Solution(tuple(U), tuple(V), lhs, rhs, True)
 
 
 def _coeff_order(bound: int):
@@ -201,17 +216,9 @@ def reference_signed(inst):
     v_terms = sorted(
         ((backend.canonical_key(t.pool[i]), t.pool[i], lam) for i, lam in hit[1].items())
     )
-    u_sr = SemiringElement.zero(backend)
-    for _, g, lam in u_terms:
-        u_sr = sr_add(u_sr, SemiringElement.monomial(backend, g, lam))
-    v_sr = SemiringElement.zero(backend)
-    for _, g, lam in v_terms:
-        v_sr = sr_add(v_sr, SemiringElement.monomial(backend, g, lam))
-    a_mono = SemiringElement.monomial(backend, inst.a, 1)
-    b_mono = SemiringElement.monomial(backend, inst.b, 1)
-    lhs = sr_add(u_sr, sr_scale(sr_mul(a_mono, u_sr), sa))
-    rhs = sr_add(v_sr, sr_scale(sr_mul(b_mono, v_sr), sb))
-    if not sr_equals(lhs, rhs):
+    lhs = _expand(backend, inst.a, sa, [(lam, g) for _, g, lam in u_terms])
+    rhs = _expand(backend, inst.b, sb, [(lam, g) for _, g, lam in v_terms])
+    if lhs != rhs:
         raise VerificationError("signed solution failed verification")
     return SignedSolution(
         tuple((lam, g) for _, g, lam in u_terms),

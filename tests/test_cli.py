@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import mb_reference
 
 from orecert import certificates as certs
@@ -458,6 +460,31 @@ def test_extract_refuses_a_non_canonical_mb_text(tmp_path):
     path = tmp_path / "sol.json"
     path.write_text(json.dumps(doc))
     assert run("extract", str(path)) == (2, "", "error: bad flow entry: '((0,0) ,a):1'\n")
+
+
+# (backend, a, b, a text that the reader before the canonical rule read to
+# the same a, the error it now raises)
+NON_CANONICAL_A = [
+    ("mb:2", "a", "a^2", "t= (1,0) ; flow={ ((0,0),a):1 }", "not a vector: ' (1,0) '"),
+    ("zm:2", "a", "b", " (1,0) ", "not a vector: ' (1,0) '"),
+    ("posmon", "x0", "x0", " x0 ", "not a normal form: ' x0 '"),
+    ("f", "x0", "x0", "CCCLLLL/CCLLCLL", "not a reduced tree pair: 'CCCLLLL/CCLLCLL'"),
+]
+
+
+@pytest.mark.parametrize("name, a, b, text, message", NON_CANONICAL_A)
+def test_extract_and_verify_refuse_a_non_canonical_a(tmp_path, name, a, b, text, message):
+    code, out, _ = run("ore-search", "--backend", name, "--a", a, "--b", b,
+                       "--max-support", "2", "--pool-len", "1", "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["kind"]) == (0, "solution")
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(doc))
+    assert run("extract", str(path))[0] == 0
+    path.write_text(json.dumps({**doc, "a": text}))
+    assert run("extract", str(path)) == (2, "", f"error: {message}\n")
+    assert run("verify", str(path)) == (
+        1, f"verification failed: malformed certificate: {message}\n", "")
 
 
 def test_extract_needs_a_solution_certificate(tmp_path):

@@ -13,6 +13,7 @@ from orecert.ore import (
     Solution,
     build_relation_graph,
     enumerate_pool,
+    expand_signed,
     extract_cycles,
     make_instance,
     relation_to_solution,
@@ -20,7 +21,7 @@ from orecert.ore import (
     search_signed,
     verify_solution,
 )
-from orecert.semiring import SemiringElement, sr_equals
+from orecert.semiring import sr_add_terms
 from orecert.words import parse_word, print_word
 from orecert.certificates import LABEL_ALPHABET
 
@@ -110,10 +111,10 @@ def test_mb_slice_exhausted():
 def _brute_force(backend, a, b, pool, n):
     for m in range(1, n + 1):
         for U in combinations_with_replacement(pool, m):
-            lhs = sr_left_factor(a, SemiringElement.from_terms(backend, [(1, g) for g in U]))
+            lhs = sr_left_factor(backend, a, sr_add_terms({}, [(g, 1) for g in U]))
             for V in combinations_with_replacement(pool, m):
-                rhs = sr_left_factor(b, SemiringElement.from_terms(backend, [(1, g) for g in V]))
-                if sr_equals(lhs, rhs):
+                rhs = sr_left_factor(backend, b, sr_add_terms({}, [(g, 1) for g in V]))
+                if lhs == rhs:
                     return U, V
     return None
 
@@ -299,6 +300,39 @@ def test_coefficient_bound_alone_picks_the_ring():
         make_instance(ZM, a, b, 2, 1, signs=(-1, -1))
     with pytest.raises(ValueError, match="must be \\+1 or -1"):
         make_instance(ZM, a, b, 2, 1, coeff_bound=1, signs=(2, 1))
+
+
+def _double_loop(backend, factor, sign, terms):
+    """(1 + sign*factor) * sum(lam*g), one product per pair of terms."""
+    out: dict = {}
+    for c, h in ((1, backend.identity), (sign, factor)):
+        for lam, g in terms:
+            x = backend.multiply(h, g)
+            out[x] = out.get(x, 0) + c * lam
+    return {x: c for x, c in out.items() if c}
+
+
+@pytest.mark.parametrize("backend", [ZM, MB, PM, FBackend()], ids=lambda b: b.name)
+def test_expand_signed_matches_a_double_loop(backend):
+    rng = random.Random(29)
+    pool = enumerate_pool(backend, 1, 1)
+    a, b = pool[1], pool[-1]
+    g = pool[0]
+    # repeated elements whose coefficients cancel to zero: both sides vanish
+    sol = expand_signed(backend, a, b, (1, -1), [(2, g), (-2, g)], [(1, g), (-1, g)])
+    assert (sol.lhs, sol.rhs, sol.verified) == ({}, {}, True)
+    for _ in range(200):
+        terms = [[(rng.choice((1, -1, 2, -3)), rng.choice(pool))
+                  for _ in range(rng.randrange(6))] for _ in "uv"]
+        for lam, x in list(terms[0]):
+            if rng.random() < 0.3:
+                terms[0].append((-lam, x))
+        sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
+        sol = expand_signed(backend, a, b, (sa, sb), *terms)
+        assert sol.lhs == _double_loop(backend, a, sa, terms[0])
+        assert sol.rhs == _double_loop(backend, b, sb, terms[1])
+        assert sol.verified == (sol.lhs == sol.rhs)
+        assert list(sol.u) == sorted(terms[0], key=lambda term: term[1])
 
 
 def test_signed_posmon_bounded_outcome():

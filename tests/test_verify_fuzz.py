@@ -199,6 +199,26 @@ def test_a_vector_takes_only_ascii_digits(text):
         make_backend("zm:3").element_from_str(text)
 
 
+@pytest.mark.parametrize("name, text", [
+    ("mb:2", "t= (1,0) ; flow={ ((0,0),a):1 }"),
+    ("mb:2", "t=(1,0); flow={((00,0),a):1}"),
+    ("mb:2", "t=(01,0); flow={((0,0),a):1}"),
+    ("mb:2", "t=(1,0); flow={((0,0),a):1, ((0,1),b):0}"),  # a zero value
+    ("mb:2", "t=(1,0); flow={((0,0),a):1, ((0,0),a):1}"),  # a repeated edge
+    ("mb:2", "t=(2,0); flow={((1,0),a):1, ((0,0),a):1}"),  # edges out of order
+    ("zm:2", " (1,0) "),
+    ("zm:2", "(01,0)"),
+    ("zm:2", "(-0,1)"),
+    ("posmon", " x0 "),
+    ("posmon", "x1 x0"),  # x0 x2
+    ("posmon", "x0*x2"),
+    ("f", "CCCLLLL/CCLLCLL"),  # x0 with one more caret on both trees
+])
+def test_element_texts_are_read_only_in_canonical_form(name, text):
+    with pytest.raises(ValueError):
+        make_backend(name).element_from_str(text)
+
+
 def test_integers_outside_ascii_digits_fail_verification(tmp_path):
     # int() reads each edited text as the integer it replaces
     zm = _emit(SOLUTION)
