@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Subcommands: wp, canon, alt-check, alt-trace, ore-search, ore-signed,
-extract, rel2sol, folner, pool, verify.  Every subcommand but verify derives
-one certificate document; --format json prints it and the table lines are
-read off it; verify prints one line.  Exit codes: 0 success or verified or
+Subcommands: wp, canon, alt-check, alt-trace, ore-search, ore-signed, extract,
+rel2sol, folner, pool, verify.  Each call builds only its subcommand's parser,
+on first use, and parses its arguments once.  Every subcommand but verify
+derives one certificate document; --format json prints it and the table lines
+are read off it; verify prints one line.  Exit codes: 0 success or verified or
 found, 3 bounded search exhausted, relation not embeddable or Folner target
 missed (a normal negative result), 1 verification failure, 2 usage error.
-Output is deterministic byte for byte.  --backend is taken by the
-subcommands that build a backend from it; the searches run serially.
+Output is deterministic byte for byte; the searches run serially.
 """
 
 from __future__ import annotations
@@ -175,83 +175,83 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _adder(*arguments, **defaults):
+    """A function adding ``arguments``, each (flag, keywords), and ``defaults`` to a parser."""
+    def add(parser):
+        for flag, keywords in arguments:
+            parser.add_argument(flag, **keywords)
+        parser.set_defaults(**defaults)
+    return add
+
+
+def _int(flag, default):
+    return flag, {"type": _integer, "default": default}
+
+
+_WORD, _CERTIFICATE = ("word", {}), ("certificate", {})
+_A_B = ("--a", {"required": True}), ("--b", {"required": True})
+_SEARCH = _A_B + (_int("--max-support", 3), _int("--pool-len", 3), _int("--pool-idx", 2))
+_SIGNED = _A_B + (_int("--max-support", 2), _int("--pool-len", 2), _int("--pool-idx", 2),
+                  _int("--coeff-bound", 1), ("--signs", {"default": "++"}))
+
+# name -> (help, derive, takes --backend, default --format or None to run derive, adder)
+_COMMANDS = {
+    "wp": ("word problem: trivial or not", _wp, True, "table", _adder(_WORD)),
+    "canon": ("canonical form of a word", _canon, True, "table", _adder(_WORD)),
+    "alt-check": ("alternating-shape predicate", _alt_check, False, "table",
+                  _adder(("--cyclic", {"action": "store_true"}), _WORD)),
+    "alt-trace": ("nontriviality trace for alternating words", _alt_trace, False, "json",
+                  _adder(_WORD)),
+    "ore-search": ("search for (1+a)u = (1+b)v in Z+[M]", _ore, True, "table",
+                   _adder(*_SEARCH, coeff_bound=None, signs="++")),
+    "ore-signed": ("search for (1+-a)u = (1+-b)v in Z[M]", _ore, True, "table", _adder(*_SIGNED)),
+    "extract": ("relation graph and cycles of a solution certificate", _extract, False,
+                "table", _adder(_CERTIFICATE)),
+    "rel2sol": ("rebuild a solution from an alternating relation", _rel2sol, True, "table",
+                _adder(*_A_B, _int("--pool-len", 3), _int("--pool-idx", 2), _WORD)),
+    "folner": ("greedy search for an almost invariant set", _folner, True, "table",
+               _adder(("--epsilon", {"required": True}), ("--delta", {"default": None}),
+                      _int("--budget", 100), _int("--pool-idx", 1))),
+    "pool": ("enumerate the search pool", _pool, True, "table",
+             _adder(_int("--pool-len", 2), _int("--pool-idx", 2))),
+    "verify": ("re-check a certificate document", _verify, False, None, _adder(_CERTIFICATE)),
+}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    _, derive, backend, default_format, add_arguments = _COMMANDS[name]
+    parser = argparse.ArgumentParser(prog="orecert " + name)
+    parser.set_defaults(run=derive if default_format is None else functools.partial(_emit, derive))
+    if backend:
+        parser.add_argument("--backend", default="zm:2")
+    if default_format is not None:
+        parser.add_argument("--format", choices=("table", "json"), default=default_format)
+    add_arguments(parser)
+    return parser
+
+
+def _top_level(argv) -> None:
+    """--help and the usage errors before a command, from names and help texts."""
     parser = argparse.ArgumentParser(prog="orecert")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help, derive, backend=True, default_format="table"):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=functools.partial(_emit, derive))
-        if backend:
-            p.add_argument("--backend", default="zm:2")
-        p.add_argument("--format", choices=("table", "json"), default=default_format)
-        return p
-
-    p = command("wp", "word problem: trivial or not", _wp)
-    p.add_argument("word")
-
-    p = command("canon", "canonical form of a word", _canon)
-    p.add_argument("word")
-
-    p = command("alt-check", "alternating-shape predicate", _alt_check, backend=False)
-    p.add_argument("--cyclic", action="store_true")
-    p.add_argument("word")
-
-    p = command("alt-trace", "nontriviality trace for alternating words", _alt_trace,
-                backend=False, default_format="json")
-    p.add_argument("word")
-
-    def search(name, help, n, L):
-        p = command(name, help, _ore)
-        p.add_argument("--a", required=True)
-        p.add_argument("--b", required=True)
-        p.add_argument("--max-support", type=_integer, default=n)
-        p.add_argument("--pool-len", type=_integer, default=L)
-        p.add_argument("--pool-idx", type=_integer, default=2)
-        return p
-
-    search("ore-search", "search for (1+a)u = (1+b)v in Z+[M]", 3, 3).set_defaults(
-        coeff_bound=None, signs="++")
-    p = search("ore-signed", "search for (1+-a)u = (1+-b)v in Z[M]", 2, 2)
-    p.add_argument("--coeff-bound", type=_integer, default=1)
-    p.add_argument("--signs", default="++")
-
-    p = command("extract", "relation graph and cycles of a solution certificate", _extract,
-                backend=False)
-    p.add_argument("certificate")
-
-    p = command("rel2sol", "rebuild a solution from an alternating relation", _rel2sol)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--pool-len", type=_integer, default=3)
-    p.add_argument("--pool-idx", type=_integer, default=2)
-    p.add_argument("word")
-
-    p = command("folner", "greedy search for an almost invariant set", _folner)
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--budget", type=_integer, default=100)
-    p.add_argument("--pool-idx", type=_integer, default=1)
-
-    p = command("pool", "enumerate the search pool", _pool)
-    p.add_argument("--pool-len", type=_integer, default=2)
-    p.add_argument("--pool-idx", type=_integer, default=2)
-
-    p = sub.add_parser("verify", help="re-check a certificate document")
-    p.set_defaults(run=_verify)
-    p.add_argument("certificate")
-
-    return parser
+    for name, (help, *_) in _COMMANDS.items():
+        sub.add_parser(name, help=help)
+    parser.parse_args(argv)  # prints the help or the error, and exits
+    parser.error("a command must come first")  # should a parse ever return
 
 
 def main(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         # argparse prints usage errors and --help to sys.stderr and sys.stdout
         with redirect_stdout(out), redirect_stderr(err):
-            args = _build_parser().parse_args(argv)
+            if argv and argv[0] in _COMMANDS:
+                args = _command_parser(argv[0]).parse_args(argv[1:])
+            else:
+                _top_level(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

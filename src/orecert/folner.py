@@ -73,13 +73,17 @@ def parse_ratio(name: str, text: str) -> Fraction:
     notation is refused before ``Fraction`` reads it, since ``Fraction``
     builds 10**|exponent| first: ``1e-3000000`` would take seconds.  So are
     digits outside ASCII and ``_``, which ``Fraction`` would also read, as
-    ``words.parse_int`` refuses them in integers."""
+    ``words.parse_int`` refuses them in integers.  Every refusal names the
+    option: ``Fraction``'s own messages (``Fraction(1, 0)``) do not."""
     if "e" in text or "E" in text:
         raise OrecertError(
             f"{name}: exponent notation is not accepted; give an integer, a decimal or p/q")
     if not text.isascii() or "_" in text:
         raise OrecertError(f"{name}: not a ratio in ASCII digits: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise OrecertError(f"{name}: not a ratio: {text!r}") from None
 
 
 def check_delta(report: FolnerReport, delta) -> bool:

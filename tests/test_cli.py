@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 import mb_reference
 
 from orecert import certificates as certs
+from orecert import cli
 from orecert import ore
 from orecert.cli import main
 from orecert.folner import folner_ratios
@@ -292,12 +294,49 @@ def test_byte_identical_repeated_runs():
 
 
 def test_jobs_is_a_usage_error():
+    # the command's own parser refuses it, so its usage and error name the command
     for command in ("ore-search", "ore-signed"):
         code, out, err = run(command, "--backend", "zm:2", "--a", "a", "--b", "b",
                              "--jobs", "4")
         assert (code, out) == (2, "")
-        assert err.endswith(": error: unrecognized arguments: --jobs 4\n")
+        assert err.startswith(f"usage: orecert {command} [-h] [--backend BACKEND]")
+        assert err.endswith(f"\norecert {command}: error: unrecognized arguments: --jobs 4\n")
         assert "Traceback" not in err
+
+
+def test_a_call_builds_only_its_own_command_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(k.get("prog")) or init(self, *a, **k))
+    cli._command_parser.cache_clear()
+    assert run("wp", "--backend", "mb:2", "a b A B")[:2] == (0, "nontrivial\n")
+    assert run("wp", "--backend", "f", "x0")[:2] == (0, "nontrivial\n")
+    assert cli._command_parser.cache_info().currsize == 1
+    assert built == ["orecert wp"]
+
+
+def test_usage_errors_before_a_command_keep_the_top_level_usage():
+    choices = ("'wp', 'canon', 'alt-check', 'alt-trace', 'ore-search', 'ore-signed', "
+               "'extract', 'rel2sol', 'folner', 'pool', 'verify'")
+    for argv, message in (
+            ((), "the following arguments are required: command"),
+            (("bogus", "x"), f"argument command: invalid choice: 'bogus' (choose from {choices})"),
+            (("--", "wp"), f"argument command: invalid choice: '--' (choose from {choices})")):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: orecert [-h]\n")
+        assert err.endswith(f"\norecert: error: {message}\n")
+
+
+def test_a_top_level_parse_that_returns_is_a_usage_error(monkeypatch):
+    # the top-level parse exits on every argv tried; one that returned must
+    # still end as a usage error, not reach a Namespace with nothing to run
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, args=None, namespace=None: argparse.Namespace(command="wp"))
+    code, out, err = run("--", "wp")
+    assert (code, out) == (2, "")
+    assert err.endswith("\norecert: error: a command must come first\n")
 
 
 def _signed_zm2_doc():
@@ -746,6 +785,20 @@ def test_a_ratio_takes_only_ascii_digits(tmp_path):
     doc = {**json.loads(out), "epsilon": "\u0661/\u0662"}
     assert _verify_doc(tmp_path, doc)[:2] == (
         1, "verification failed: epsilon: not a ratio in ASCII digits: '\u0661/\u0662'\n")
+
+
+def test_a_ratio_fraction_cannot_read_names_its_option(tmp_path):
+    for name, argv in (("epsilon", ["--epsilon", "1/0"]),
+                       ("delta", ["--epsilon", "1/2", "--delta", "abc"])):
+        text = argv[-1]
+        assert run("folner", "--backend", "zm:2", "--budget", "5", *argv) == (
+            2, "", f"error: {name}: not a ratio: {text!r}\n")
+    _, out, _ = run("folner", "--backend", "zm:2", "--epsilon", "1/2", "--budget", "5",
+                    "--format", "json")
+    for name, text in (("epsilon", "1/0"), ("delta", "abc")):
+        doc = {**json.loads(out), name: text}
+        assert _verify_doc(tmp_path, doc)[:2] == (
+            1, f"verification failed: {name}: not a ratio: {text!r}\n")
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

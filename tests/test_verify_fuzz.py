@@ -143,6 +143,9 @@ def test_named_edits_are_rejected(tmp_path):
     assert not _verdict({**by_kind["folner"], "success": None})
     assert not _verdict({**by_kind["solution"], "bounds": "x"})
     assert not _verdict({**by_kind["folner"], "epsilon": "1/0"})
+    for name, text in (("epsilon", "1/0"), ("delta", "abc")):
+        assert verify_certificate({**by_kind["folner"], name: text}) == (
+            False, f"{name}: not a ratio: {text!r}")
 
 
 def _cli(*argv):
