@@ -6,8 +6,10 @@ document, derives it again and accepts only if the two serialise to the
 same bytes.  Claims a derivation cannot reproduce are checked on their own:
 an exhaustion re-runs its search through ``ore.solve``, as the CLI ran it,
 a signed solution has its bounds checked, and a solution's |U| and |V|
-must not exceed n.  All documents are serialised with sorted keys so
-byte-identical output is a function of content only.
+must not exceed n and must lie in its pool.  Only a solution or relations
+document may state no pool (L null): a group relation walks into a
+solution whatever the pool, so ``rel2sol`` states none, and ``verify``
+checks the equation and n alone.  Keys are sorted, so bytes follow content.
 
 Documents are written with a two-space indent by ``dumps``, which returns
 exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline but
@@ -191,7 +193,10 @@ def relations_certificate(inst: OreInstance, sol: Solution) -> dict:
 
 
 def _outside_pool(inst: OreInstance, elements) -> bool:
-    # Where the backend decides ball membership per element, no pool is built.
+    # No pool (L None) bounds nothing.  Where the backend decides ball
+    # membership per element, no pool is built.
+    if inst.pool_length is None:
+        return False
     inside = {inst.backend.in_ball(x, inst.pool_length, inst.pool_max_index) for x in elements}
     if None in inside:
         return not set(inst.pool).issuperset(elements)
@@ -199,31 +204,29 @@ def _outside_pool(inst: OreInstance, elements) -> bool:
 
 
 def rel2sol_certificate(backend, a, b, text: str, length: int, max_index) -> dict:
-    """The solution walked from the relation ``text``, or the claim that it
-    has none in the pool of the stated bounds: on a monoid no translate by a
-    pool element embeds its vertices, on a group the walk, translated so
-    that its least vertex is the identity, leaves the pool."""
+    """The solution walked from the relation ``text``.  On a group the walk
+    solves the equation whatever the pool, so its document states none; on
+    a monoid it is the first translate of the walk into the pool, or the
+    claim that there is none.  The bounds are checked on every backend."""
     word = parse_word(text, LABEL_ALPHABET)
     # a relation of length 2m walks into a solution of mass m
     inst = make_instance(backend, a, b, len(word) // 2, length, max_index)
+    if backend.is_group:
+        inst = make_instance(backend, a, b, inst.max_support, None)
+        return solution_certificate(inst, relation_to_solution(backend, a, b, word))
     try:
-        sol = relation_to_solution(backend, a, b, word, None if backend.is_group else inst.pool)
+        return solution_certificate(inst, relation_to_solution(backend, a, b, word, inst.pool))
     except NotEmbeddableError:
-        reason = "vertices not embeddable in monoid"
-    else:
-        if not _outside_pool(inst, sol.U + sol.V):
-            return solution_certificate(inst, sol)
-        reason = f"solution leaves the pool of L = {length}, K = {max_index}"
-    return {
-        "kind": "rel2sol-failure",
-        "backend": backend.name,
-        "a": backend.canonical_str(a),
-        "b": backend.canonical_str(b),
-        "word": text,
-        "bounds": {"L": length, "K": max_index},
-        "reason": reason,
-        "verified": True,
-    }
+        return {
+            "kind": "rel2sol-failure",
+            "backend": backend.name,
+            "a": backend.canonical_str(a),
+            "b": backend.canonical_str(b),
+            "word": text,
+            "bounds": {"L": length, "K": max_index},
+            "reason": "vertices not embeddable in monoid",
+            "verified": True,
+        }
 
 
 def trace_certificate(word) -> dict:
@@ -372,7 +375,7 @@ def _instance(doc: dict) -> OreInstance:
     return make_instance(
         backend, a, b,
         _get(bounds, "n", int),
-        _get(bounds, "L", int),
+        _get(bounds, "L", int, optional=doc.get("kind") in ("solution", "relations")),
         _get(bounds, "K", int, optional=True),
         coeff_bound=c,
         signs=(1, 1) if c is None else _signs_from_str(_get(doc, "signs", str)),

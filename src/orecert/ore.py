@@ -70,9 +70,9 @@ class OreInstance:
     The bounds are checked here.  The pool, the ball of radius L over the
     generators, is enumerated when something first reads its elements;
     ``pool_size`` is counted without it where the backend can count
-    (``Backend.ball_size``)."""
+    (``Backend.ball_size``).  ``pool_length=None`` states no pool."""
 
-    def __init__(self, backend: Backend, a, b, max_support: int, pool_length: int,
+    def __init__(self, backend: Backend, a, b, max_support: int, pool_length: int | None,
                  pool_max_index: int | None = None, coeff_bound: int | None = None,
                  signs: tuple[int, int] = (1, 1)):
         if max_support < 0:
@@ -102,7 +102,9 @@ class OreInstance:
         return tuple(enumerate_pool(self.backend, self.pool_length, self.pool_max_index))
 
     @cached_property
-    def pool_size(self) -> int:
+    def pool_size(self) -> int | None:
+        if self.pool_length is None:
+            return None
         size = self.backend.ball_size(self.pool_length, self.pool_max_index)
         return len(self.pool) if size is None else size
 
@@ -115,8 +117,8 @@ class OreInstance:
         }
 
 
-def _check_pool_bounds(length: int, max_index: int | None) -> None:
-    if length < 0:
+def _check_pool_bounds(length: int | None, max_index: int | None) -> None:
+    if length is not None and length < 0:
         raise ValueError("length must be nonnegative")
     if max_index is not None and max_index < 0:
         raise ValueError("at least one generator is needed")
@@ -550,23 +552,21 @@ def _walk(backend, a, b, word: Word):
     The walk starts at the identity and steps v -> label^-exponent * v, so
     each letter realises one graph edge label*t -> t: its target t is the
     vertex the step enters when the exponent is +1 and the one it leaves
-    when it is -1.  Returns the envelope, the vertices visited and the
-    targets of the a-edges and of the b-edges, in word order.  The last
-    vertex is the inverse of the word's value, so it is the identity
-    exactly when the word is a relation.
+    when it is -1.  Returns the envelope, the last vertex and the targets
+    of the a-edges and of the b-edges, in word order.  The last vertex is
+    the inverse of the word's value, so it is the identity exactly when the
+    word is a relation.
     """
     env = backend.envelope()
     letters = {"a": backend.embed_to_envelope(a), "b": backend.embed_to_envelope(b)}
     steps = {name: (env.inverse(x), x) for name, x in letters.items()}  # by exponent < 0
     targets = {"a": [], "b": []}
     v = env.identity
-    vertices = [v]
     for gen, exp in word:
         nxt = env.multiply(steps[gen.name][exp < 0], v)
         targets[gen.name].append(nxt if exp > 0 else v)
         v = nxt
-        vertices.append(v)
-    return env, vertices, targets["a"], targets["b"]
+    return env, v, targets["a"], targets["b"]
 
 
 def extract_cycles(graph: RelationGraph, backend, a, b) -> list[AlternatingRelation]:
@@ -599,8 +599,8 @@ def extract_cycles(graph: RelationGraph, backend, a, b) -> list[AlternatingRelat
             if current == start and not side:
                 break
         word = tuple(letters)
-        env, vertices, _, _ = _walk(backend, a, b, word)
-        if not env.is_identity(vertices[-1]):
+        env, last, _, _ = _walk(backend, a, b, word)
+        if not env.is_identity(last):
             raise VerificationError("cycle label does not evaluate to the identity")
         relations.append(AlternatingRelation(word, True))
     return relations
@@ -610,11 +610,11 @@ def relation_to_solution(backend, a, b, word: Word, pool=None) -> Solution:
     """Rebuild a solution from an alternating relation by walking its cycle
     (see ``_walk``).
 
-    On group backends the vertex set is right-translated so its minimal
-    vertex becomes the identity.  On monoid backends the walk happens in
-    the group envelope and every right translation by a pool element, in
-    sorted order, is attempted until all edge targets land in the pool;
-    failing that is a normal negative outcome.
+    On group backends the walk itself is the solution, whatever the pool.
+    On monoid backends the walk happens in the group envelope and every
+    right translation by a pool element, in sorted order, is attempted
+    until all edge targets land in the pool; failing that is a normal
+    negative outcome.
     """
     n = len(word)
     if n < 2 or n % 2:
@@ -622,15 +622,12 @@ def relation_to_solution(backend, a, b, word: Word, pool=None) -> Solution:
     names = [g.name for g, _ in word]
     if set(names) - {"a", "b"} or any(names[i] == names[i + 1] for i in range(n - 1)):
         raise NotARelationError("label word must strictly alternate between a and b")
-    env, vertices, u_targets, v_targets = _walk(backend, a, b, word)
-    if not env.is_identity(vertices[-1]):
+    env, last, u_targets, v_targets = _walk(backend, a, b, word)
+    if not env.is_identity(last):
         raise NotARelationError("word does not evaluate to the identity")
 
     if backend.is_group:
-        t = backend.inverse(min(vertices))
-        U = [backend.multiply(x, t) for x in u_targets]
-        V = [backend.multiply(x, t) for x in v_targets]
-        return verify_solution(backend, a, b, U, V)
+        return verify_solution(backend, a, b, u_targets, v_targets)
 
     if pool is None:
         raise ValueError("monoid backends need a candidate pool for embedding")

@@ -409,16 +409,23 @@ def test_non_object_json_is_rejected_without_traceback(tmp_path):
         assert err == "error: certificate must be a JSON object\n"
 
 
-def test_rel2sol_outside_the_pool_is_not_embeddable():
+def test_rel2sol_on_a_group_states_no_pool_and_verifies(tmp_path):
     # The walk of [a^-1, b^-1] gives U = {(0,0), (0,1)}, which L = 0 does
-    # not hold; a solution certificate would state a pool it leaves.
+    # not hold; the walk solves the equation whatever the pool, so the
+    # document states none and --pool-len only bounds a monoid's translates.
     argv = ("rel2sol", "--backend", "zm:2", "--a", "a", "--b", "b", "--pool-len", "0",
             "a^-1 b^-1 a b")
-    assert run(*argv) == (3, "not-embeddable\n", "")
+    assert run(*argv) == (0, "solution\nU: (0,0), (0,1)\nV: (0,0), (1,0)\nverified: true\n", "")
     code, out, _ = run(*argv, "--format", "json")
     doc = json.loads(out)
-    assert (code, doc["kind"]) == (3, "rel2sol-failure")
-    assert doc["reason"] == "solution leaves the pool of L = 0, K = 2"
+    assert (code, doc["kind"], doc["pool_size"]) == (0, "solution", None)
+    assert doc["bounds"] == {"n": 2, "L": None, "K": None, "c": None}
+    assert _verify_doc(tmp_path, doc) == (0, "verified: ok\n", "")
+    # stating the pool it leaves makes the same solution fail
+    doc["bounds"] = {"n": 2, "L": 0, "K": 2, "c": None}
+    doc["pool_size"] = 1
+    assert _verify_doc(tmp_path, doc) == (
+        1, "verification failed: U or V has an element outside the pool\n", "")
 
 
 def test_verify_rejects_a_solution_outside_its_pool(tmp_path):

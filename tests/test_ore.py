@@ -221,15 +221,17 @@ def test_relation_to_solution_roundtrip():
 
 
 def test_relation_to_solution_translated_variant():
+    # the walk itself, not translated: it starts at the identity and steps
+    # v -> a^-1 v first, a translate of the solution U = (0,0), (0,1)
     sol = relation_to_solution(ZM, ZM.from_text("a"), ZM.from_text("b"), rel("a b a^-1 b^-1"))
-    assert strs(ZM, sol.U) == ["(0,0)", "(0,1)"]
-    assert strs(ZM, sol.V) == ["(0,0)", "(1,0)"]
+    assert strs(ZM, sol.U) == ["(-1,-1)", "(-1,0)"]
+    assert strs(ZM, sol.V) == ["(-1,-1)", "(0,-1)"]
 
 
 def test_relation_to_solution_equal_factors():
     a = ZM.from_text("a")
     sol = relation_to_solution(ZM, a, a, rel("a b^-1"))
-    assert strs(ZM, sol.U) == strs(ZM, sol.V) == ["(0,0)"]
+    assert strs(ZM, sol.U) == strs(ZM, sol.V) == ["(-1,0)"]
 
 
 def test_relation_to_solution_rejects_non_relations():

@@ -14,12 +14,15 @@ import json
 import random
 
 import pytest
+from test_relation_walk import MB2_MASS_8
 
 from orecert import certificates as certs
 from orecert import ore
 from orecert.cli import main
 from orecert.errors import VerificationError
 from orecert.groups import make_backend
+from orecert.groups.abelian import ZmBackend
+from orecert.groups.base import Backend
 from orecert.groups.thompson import posmon_ball_size, posmon_in_ball
 from orecert.ore import Exhausted, enumerate_pool, make_instance, solve
 from orecert.words import Alphabet, parse_word
@@ -144,27 +147,37 @@ def test_posmon_exhaustion_with_an_edited_pool_size_fails(tmp_path, delta):
         1, "verification failed: field 'pool_size' differs from the re-derived certificate\n")
 
 
-def test_group_rel2sol_enumerates_its_pool_once(count_pools):
+def test_group_rel2sol_builds_no_pool(count_pools, monkeypatch):
+    # a group walk is a solution whatever the pool: neither rel2sol nor
+    # verify enumerates, counts or asks membership of one, and none is stated
+    for cls in (Backend, ZmBackend):
+        for name in ("ball_size", "in_ball"):
+            monkeypatch.setattr(cls, name, None)
     f = make_backend("f")
     x0 = f.from_text("x0")
     # with a = b, a b^-1 is a relation
     doc = certs.rel2sol_certificate(f, x0, x0, "a b^-1", 1, 1)
-    assert doc["kind"] == "solution"
-    assert count_pools == [("f", 1, 1)]
+    assert (doc["kind"], doc["pool_size"], doc["bounds"]) == (
+        "solution", None, {"n": 1, "L": None, "K": None, "c": None})
+    assert certs.verify_certificate(doc) == (True, "ok")
+    mb = make_backend("mb:2")
+    doc = certs.rel2sol_certificate(mb, mb.from_text("a a"), mb.from_text("b a b^-1"),
+                                    MB2_MASS_8, 12, 2)
+    assert (doc["kind"], doc["pool_size"], doc["bounds"]["n"]) == ("solution", None, 8)
+    assert certs.verify_certificate(doc) == (True, "ok")
     zm = make_backend("zm:2")
-    count_pools.clear()
     doc = certs.rel2sol_certificate(zm, zm.from_text("a"), zm.from_text("b"),
                                     "a b a^-1 b^-1", 2, None)
-    # zm decides membership by norm and counts its ball, so no pool is built
-    assert count_pools == []
     assert doc == {
         "backend": "zm:2", "a": "(1,0)", "b": "(0,1)",
-        "bounds": {"n": 2, "L": 2, "K": None, "c": None},
-        "mode": "unsigned", "signs": None, "pool_size": 13, "kind": "solution",
-        "U": ["(0,0)", "(0,1)"], "V": ["(0,0)", "(1,0)"],
-        "lhs": "1*(0,0) + 1*(0,1) + 1*(1,0) + 1*(1,1)",
-        "rhs": "1*(0,0) + 1*(0,1) + 1*(1,0) + 1*(1,1)", "verified": True,
+        "bounds": {"n": 2, "L": None, "K": None, "c": None},
+        "mode": "unsigned", "signs": None, "pool_size": None, "kind": "solution",
+        "U": ["(-1,-1)", "(-1,0)"], "V": ["(-1,-1)", "(0,-1)"],
+        "lhs": "1*(-1,-1) + 1*(-1,0) + 1*(0,-1) + 1*(0,0)",
+        "rhs": "1*(-1,-1) + 1*(-1,0) + 1*(0,-1) + 1*(0,0)", "verified": True,
     }
+    assert certs.verify_certificate(doc) == (True, "ok")
+    assert count_pools == []
 
 
 def test_monoid_rel2sol_enumerates_its_pool_once(count_pools):

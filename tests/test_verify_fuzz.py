@@ -16,6 +16,7 @@ import random
 import re
 
 import pytest
+from test_relation_walk import MB2_MASS_8 as MASS_8_WORD
 
 from orecert.certificates import verify_certificate
 from orecert.cli import main
@@ -23,6 +24,14 @@ from orecert.groups import make_backend
 
 VALUES = [None, 0, 1, -1, "", "x", [], {}, True, 1.5]
 
+MB2_MASS_8 = ["rel2sol", "--backend", "mb:2", "--a", "a a", "--b", "b a b^-1", MASS_8_WORD]
+# a group rel2sol-failure, as rel2sol wrote one when it translated the walk
+# and checked it against the pool
+GROUP_FAILURE = {
+    "a": "(1,0)", "b": "(0,1)", "backend": "zm:2", "bounds": {"K": 2, "L": 0},
+    "kind": "rel2sol-failure", "reason": "solution leaves the pool of L = 0, K = 2",
+    "verified": True, "word": "a^-1 b^-1 a b",
+}
 SOLUTION = ["ore-search", "--backend", "zm:2", "--a", "a", "--b", "b",
             "--max-support", "2", "--pool-len", "1"]
 COMMANDS = [
@@ -38,9 +47,11 @@ COMMANDS = [
     ["ore-signed", "--backend", "posmon", "--a", "x0", "--b", "x1", "--signs=mm",
      "--coeff-bound", "1", "--max-support", "1", "--pool-len", "1", "--pool-idx", "1"],
     ["extract", "{sol}"],
-    # a group relation whose walk leaves the stated pool: rel2sol-failure
+    # group relations walk into solutions that state no pool, whatever
+    # --pool-len says; the posmon one below is a rel2sol-failure
     ["rel2sol", "--backend", "zm:2", "--a", "a", "--b", "b", "--pool-len", "0",
      "a^-1 b^-1 a b"],
+    MB2_MASS_8,
     ["rel2sol", "--backend", "posmon", "--a", "x0", "--b", "x0",
      "--pool-len", "0", "--pool-idx", "0", "a b^-1"],
     ["folner", "--backend", "posmon", "--epsilon", "1/10", "--budget", "4",
@@ -277,3 +288,28 @@ def test_a_negative_max_index_fails_verification_on_every_backend(tmp_path):
         assert _cli("verify", str(path)) == (
             1, "verification failed: malformed certificate: at least one generator is needed\n",
             ""), doc["kind"]
+
+
+def test_only_a_solution_may_state_no_pool(tmp_path):
+    # a pool-free solution verifies on its equation and n alone, but one
+    # that states a pool must lie in it, and no other kind may omit L
+    mass_8 = _emit(MB2_MASS_8)
+    assert (mass_8["kind"], mass_8["pool_size"], mass_8["bounds"]["L"]) == ("solution", None, None)
+    exhausted = _emit(["ore-search", "--backend", "mb:2", "--a", "a", "--b", "b",
+                       "--max-support", "1", "--pool-len", "1"])
+    signed = _emit(["ore-signed", "--backend", "mb:2", "--a", "a", "--b", "a^2",
+                    "--max-support", "2", "--pool-len", "1"])
+    assert (exhausted["kind"], signed["kind"]) == ("exhausted", "signed")
+    path = tmp_path / "doc.json"
+    for doc in (mass_8, exhausted, signed):
+        path.write_text(json.dumps(doc))
+        assert _cli("verify", str(path)) == (0, "verified: ok\n", ""), doc["kind"]
+    for doc, message in [
+        ({**mass_8, "bounds": {**mass_8["bounds"], "L": 0, "K": 2}, "pool_size": 1},
+         "U or V has an element outside the pool"),
+        ({**exhausted, "bounds": {**exhausted["bounds"], "L": None}}, "field 'L' must be int"),
+        ({**signed, "bounds": {**signed["bounds"], "L": None}}, "field 'L' must be int"),
+        (GROUP_FAILURE, "field 'U' differs from the re-derived certificate"),
+    ]:
+        path.write_text(json.dumps(doc))
+        assert _cli("verify", str(path)) == (1, f"verification failed: {message}\n", ""), doc
