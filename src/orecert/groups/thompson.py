@@ -21,10 +21,11 @@ tree's right spine, and x_k^-1 joins trees k and k+1 (Belk and Brown,
 "Forest diagrams for elements of Thompson's group F", IJAC 15, 2005); then
 the few carets the edit leaves common to both trees are contracted.
 ``_times_letter`` makes that edit on the two strings, for single products.
-``from_word`` freely reduces the word, folds each block of 128 letters
+``from_word`` freely reduces the word, folds each block of 512 letters
 from the identity with ``_fold``, which keeps the range tree as a list of
-its forest's trees between letters, and multiplies the block results
-pairwise.  No helper recurses, so trees of any depth are fine.
+its forest's trees and the domain tree as per-leaf caret counts between
+letters, and multiplies the block results pairwise.  No helper recurses,
+so trees of any depth are fine.
 
 The positive monoid backend keeps elements in rewriting normal form: the
 rule x_j x_i -> x_i x_{j+1} (i < j) is terminating and confluent on
@@ -38,6 +39,7 @@ takes one insertion per letter of x, however short y is.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
@@ -263,58 +265,72 @@ def _fold(letters: list[int]) -> TreePair:
     """The reduced pair of a word folded from the identity, one letter at
     a time; ``letters`` holds x_k as k and x_k^-1 as ~k.
 
-    The fold keeps the pair as (D, S): D is the domain tree and S the range
-    forest, the subtrees S_0 .. S_(m-1) that hang off the range tree's right
-    spine, so R = C S_0 C S_1 ... C S_(m-1) L.  Right-multiplying by x_k
-    splits tree k and by x_k^-1 joins trees k and k+1 (Belk and Brown), so
-    each step of ``_times_letter`` becomes an edit of one or two list
-    entries: the spine is list indexing, and D changes only where a caret
-    is added or contracted.  With m = len(S):
+    The fold keeps the pair as (cs, S).  cs holds the domain tree D as the
+    number of carets written just before each leaf, so D is
+    ``"L".join("C" * c for c in cs) + "L"``.  S is the range forest, the
+    subtrees S_0 .. S_(m-1) that hang off the range tree's right spine, so
+    R = C S_0 C S_1 ... C S_(m-1) L.  Right-multiplying by x_k splits tree
+    k and by x_k^-1 joins trees k and k+1 (Belk and Brown), so each step of
+    ``_times_letter`` becomes an edit of one or two entries of each list.
+    With m = len(S), j = k - m, and q the leaf of D under S_k (the leaves
+    of S_0 .. S_(k-1)), each string edit of D is a count edit:
 
-    - k >= m: graft the rest of x_k^e's trees onto the last leaf of both
-      trees, as ``_times_letter`` does: S gains k - m entries L, then L, L
-      for x_k or CLL for x_k^-1;
-    - x_k, S_k = L: add a caret over S_k's leaf, leaf q of D, where q
-      counts the leaves of S_0 .. S_(k-1), then split it: S_k, S_(k+1) = L, L;
+    - x_k, k >= m: the last leaf L becomes CL^j CCLLL, so cs[-1] += 2 and
+      then 0, 0 are appended when j = 0, and otherwise cs[-1] += 1 and
+      then j - 1 ones and 2, 0, 0; S gains j + 2 entries L;
+    - x_k^-1, k >= m: L becomes CL^j CLCLL, so cs[-1] += 1 and then j + 1
+      ones and 0; S gains j entries L and CLL;
+    - x_k^-1, k = m - 1: L becomes CLL, so cs[-1] += 1 and then 0; then
+      S_k = C S_k L;
+    - x_k, S_k = L: leaf q becomes CLL, so cs[q] += 1 and 0 is inserted
+      after it; then S_k, S_(k+1) = L, L;
     - x_k, S_k = C A B: S_k, S_(k+1) = A, B;
-    - x_k^-1, m = k+1: add a caret at the last leaf of both trees, then
-      join: S_k = C S_k L;
     - x_k^-1 otherwise: S_k = C S_k S_(k+1).
 
-    The argument of ``_times_letter`` carries over: the pair stays reduced
-    once the one new caret that can be a cherry (a caret over two leaves)
-    is contracted where it is common to both trees, and then its parents.
+    D has a cherry (a caret over two leaves) over leaves q, q+1 exactly when
+    it reads CLL there, cs[q] >= 1 and cs[q+1] = 0, and contracting it to L
+    is cs[q] -= 1 and deleting cs[q+1].  The argument of ``_times_letter``
+    carries over: the pair stays reduced once the one new caret that can be
+    a cherry is contracted where it is common to both trees, and then its
+    parents.
     Where a caret was added, no common cherry arises.  A split's new caret
     is the spine caret over B, a cherry only when B = L and it ends the
-    spine; contracting it pops S and turns D's final CLL into L.  A join's
-    new caret is a cherry only when S_k and S_(k+1) were both L; it
-    contracts to S_k = L and, at leaf q of D, CLL to L.  The next common
-    cherry, if any, is the new leaf's parent in both trees.  In the range
-    tree that parent is a spine caret, a cherry only at the spine end, over
-    S's last entry L and the last leaf, where D's cherry over the same
-    leaves is a final CLL: so the climb pops S while S ends in L and D in
-    CLL.  Each contraction removes a caret that some letter added, so over
-    a word the contractions cost amortised linear time.
+    spine; a join's is a cherry only when S_k and S_(k+1) were both L, and
+    contracts to S_k = L where D has the cherry at q.  The next common
+    cherry, if any, is the new leaf's parent in both trees, in R a spine
+    caret: a cherry only at the spine end, over S's last entry L and the
+    last leaf, where D's cherry is over its last two leaves.  So the climb
+    pops S and contracts D's last cherry while S ends in L and cs in c, 0
+    with c >= 1.  Each contraction removes a caret that some letter added,
+    so over a word the contractions cost amortised linear time.
 
     ``_times_letter`` stays the step for single products: turning a pair
     into its forest and back costs more than one step on the strings, so
     the forest pays only where it is kept across letters.
     """
-    domain, trees = "L", []
+    cs: list[int] = [0]
+    trees: list[str] = []
     for c in letters:
         m = len(trees)
         if c >= 0:
             k = c
             if k >= m:
                 j = k - m
-                domain = domain[:-1] + "CL" * j + "CCLLL"
-                trees += ["L"] * (j + 2)
+                if j:
+                    cs[-1] += 1
+                    cs += repeat(1, j - 1)
+                    cs += 2, 0, 0
+                else:
+                    cs[-1] += 2
+                    cs += 0, 0
+                trees += repeat("L", j + 2)
                 continue
             t = trees[k]
             if t == "L":
                 # a subtree of n characters has (n + 1) / 2 leaves
-                q = _leaf_at(domain, (sum(map(len, trees[:k])) + k) // 2)
-                domain = domain[:q] + "CLL" + domain[q + 1 :]
+                q = (sum(map(len, trees[:k])) + k) // 2
+                cs[q] += 1
+                cs.insert(q + 1, 0)
                 trees.insert(k, "L")
                 continue
             a_end = _subtree_end(t, 1)
@@ -325,40 +341,49 @@ def _fold(letters: list[int]) -> TreePair:
         else:
             k = ~c
             if k + 1 >= m:
+                cs[-1] += 1
                 if k >= m:
-                    j = k - m
-                    domain = domain[:-1] + "CL" * j + "CLCLL"
-                    trees += ["L"] * j + ["CLL"]
+                    cs += repeat(1, k - m + 1)
+                    trees += repeat("L", k - m)
+                    trees.append("CLL")
                 else:
-                    domain = domain[:-1] + "CLL"
                     trees[k] = "C" + trees[k] + "L"
+                cs.append(0)
                 continue
             s = trees[k]
             t = trees.pop(k + 1)
             if s != "L" or t != "L":
                 trees[k] = "C" + s + t
                 continue
-            d = _leaf_at(domain, (sum(map(len, trees[:k])) + k) // 2) - 1
-            if not domain.startswith("CLL", d):
+            q = (sum(map(len, trees[:k])) + k) // 2
+            if not cs[q] or cs[q + 1]:
                 trees[k] = "CLL"
                 continue
-            domain = domain[:d] + "L" + domain[d + 3 :]
+            cs[q] -= 1
+            del cs[q + 1]
             if k + 1 < len(trees):
                 continue
         # a new or contracted cherry ends the spine: contract it, and then
         # its parents, while D's last two leaves are siblings too
-        while trees and trees[-1] == "L" and domain.endswith("CLL"):
+        while trees and trees[-1] == "L" and cs[-2] and not cs[-1]:
             trees.pop()
-            domain = domain[:-3] + "L"
-    return TreePair(domain, "C" + "C".join(trees) + "L" if trees else "L")
+            cs[-2] -= 1
+            cs.pop()
+    rng = "C" + "C".join(trees) + "L" if trees else "L"
+    # the forest goes before the domain is joined, to keep the peak low;
+    # each distinct count's carets are built once
+    del trees
+    carets = {c: "C" * c for c in set(cs)}
+    return TreePair("L".join(map(carets.__getitem__, cs)) + "L", rng)
 
 
 # Letters folded one at a time before products turn pairwise.  A letter
-# step may still copy the domain string or a subtree of the range forest,
-# so one fold over a whole word is quadratic where the trees keep growing.
-# Blocks of 32 to 128 letters timed alike on random words; 128 was the
-# fastest on the f-words benchmark and on x0^100000 (BENCH_16.json).
-_BLOCK = 128
+# step may still copy a subtree of the range forest or sum its sizes, so
+# one fold over a whole word is quadratic where the trees keep growing.
+# Of blocks of 64, 128, 256 and 512 letters, 512 was the fastest on the
+# f-words benchmark's F words and on long powers and random words
+# (BENCH_32.json).
+_BLOCK = 512
 
 
 class FBackend(Backend):

@@ -122,6 +122,9 @@ def _check_pool_bounds(length: int | None, max_index: int | None) -> None:
         raise ValueError("length must be nonnegative")
     if max_index is not None and max_index < 0:
         raise ValueError("at least one generator is needed")
+    # K bounds the pool's generators, so with no pool it states nothing
+    if length is None and max_index is not None:
+        raise ValueError("a generator bound K needs a pool length L")
 
 
 def enumerate_pool(backend: Backend, length: int, max_index: int | None = None) -> list:

@@ -151,11 +151,12 @@ def test_multiply_with_a_letter_on_either_side_is_the_general_product():
 
 
 BLOCK = thompson._BLOCK
+# the edges of the former blocks of 128 letters stay: words within one block now
+EDGES_OF_128 = [127, 128, 129, 256, 257, 385]
 
 
-@pytest.mark.parametrize(
-    "length", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 1]
-)
+@pytest.mark.parametrize("length", sorted({
+    0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 1, *EDGES_OF_128}))
 def test_from_word_at_block_edges_equals_the_left_fold(length):
     ref = f_reference.FBackend()
     rng = random.Random(length)
@@ -250,6 +251,68 @@ def test_fold_of_a_power_and_its_inverse_is_the_identity(k):
             w = power + invert_word(power)
             assert _fold(_codes(w)) == FB.identity
             assert _fold(_codes(free_reduce(w))) == FB.identity  # the empty word
+
+
+def _word(codes):
+    return tuple((Generator("x", c), 1) if c >= 0 else (Generator("x", ~c), -1) for c in codes)
+
+
+# Each list ends in the letter that makes the named edit of the domain's
+# caret counts; m is the length of the range forest before that letter, and
+# j = k - m for a graft at the last leaf.
+COUNT_EDITS = [
+    ("x_k graft, j = 0, m = 0", [0]),
+    ("x_k graft, j = 0, m = 2", [0, 2]),
+    ("x_k graft, j = 1, m = 0", [1]),
+    ("x_k graft, j = 1, m = 2", [0, 3]),
+    ("x_k graft, j = 3, m = 0", [3]),
+    ("x_k graft, j = 3, m = 2", [0, 5]),
+    ("x_k^-1 graft, j = 0, m = 0", [~0]),
+    ("x_k^-1 graft, j = 0, m = 2", [0, ~2]),
+    ("x_k^-1 graft, j = 1, m = 0", [~1]),
+    ("x_k^-1 graft, j = 1, m = 2", [0, ~3]),
+    ("x_k^-1 graft, j = 3, m = 0", [~3]),
+    ("x_k^-1 graft, j = 3, m = 2", [0, ~5]),
+    ("x_k^-1 graft, k = m - 1 = 0", [~0, ~0]),
+    ("x_k^-1 graft, k = m - 1 = 1", [0, ~1]),
+    ("caret added at leaf 0", [0, 0]),
+    ("caret added at an inner leaf", [0, 1]),
+    ("caret added at an inner leaf, deeper", [2, 0, 2, 1]),
+    ("join of two leaves, no domain cherry", [1, ~0]),
+    ("join of two leaves, domain cherry at leaf 0", [0, 0, ~0]),
+    ("join of two leaves, domain cherry at an inner leaf", [0, 1, ~1]),
+    ("join contracts, climb pops two levels", [1, ~1]),
+    ("split ends the spine, climb pops two levels", [~0, 0]),
+    ("climb pops four levels", [3, ~3]),
+    ("unreduced: x0 x0^-1", [0, ~0]),
+    ("unreduced: w w^-1", [2, 0, ~1, 3, ~3, 1, ~0, ~2]),
+    ("unreduced: letters that cancel inside", [0, 2, ~2, 1, ~1, ~0, 4]),
+]
+
+
+@pytest.mark.parametrize("name, codes", COUNT_EDITS, ids=[n for n, _ in COUNT_EDITS])
+def test_fold_reaches_every_count_edit(name, codes):
+    ref = f_reference.FBackend()
+    w = _word(codes)
+    x = _fold(codes)
+    assert x == _letter_steps(w)
+    assert FB.canonical_str(x) == ref.canonical_str(ref.from_word(w))
+    assert _fold(_codes(free_reduce(w))) == x
+
+
+def test_fold_finds_no_leaf_by_scanning_the_domain(monkeypatch):
+    # the domain is kept as per-leaf caret counts, so no step searches it
+    def refuse(t, m):
+        raise AssertionError("_fold called _leaf_at")
+
+    rng = random.Random(32)
+    pool = indexed_letters(4)
+    words = [tuple(rng.choice(pool) for _ in range(800)) for _ in range(4)]
+    words += [w + invert_word(w) for w in words]
+    expected = [_letter_steps(w) for w in words]
+    monkeypatch.setattr(thompson, "_leaf_at", refuse)
+    for w, x in zip(words, expected):
+        assert _fold(_codes(w)) == x
 
 
 def test_fold_of_a_large_index_joins_the_range_forest_once():

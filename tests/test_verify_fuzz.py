@@ -313,3 +313,20 @@ def test_only_a_solution_may_state_no_pool(tmp_path):
     ]:
         path.write_text(json.dumps(doc))
         assert _cli("verify", str(path)) == (1, f"verification failed: {message}\n", ""), doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["rel2sol", "--backend", "zm:2", "--a", "a", "--b", "b", "--pool-len", "0",
+     "a b a^-1 b^-1"],
+    MB2_MASS_8,
+])
+def test_a_pool_free_solution_stating_a_max_index_fails_verification(tmp_path, argv):
+    # K bounds the generators of a pool; a document with L null states none
+    doc = _emit(argv)
+    assert (doc["kind"], doc["bounds"]["L"], doc["bounds"]["K"]) == ("solution", None, None)
+    path = tmp_path / "doc.json"
+    for K in (0, 1, 7):
+        path.write_text(json.dumps({**doc, "bounds": {**doc["bounds"], "K": K}}))
+        assert _cli("verify", str(path)) == (
+            1, "verification failed: malformed certificate: "
+               "a generator bound K needs a pool length L\n", ""), K
