@@ -35,6 +35,21 @@ their shifts: the fact holds once x_0^-1 l x_0 = shift(l, 1) holds for
 each letter l of v.  That is checked in F, on three letters against one,
 once per distinct letter in one ``alt_trace`` call; nothing is kept
 between calls.  Together these give s^-1 w s = w'.
+
+Each step copies the word in C.  Its Python work is in |v|, and in the
+scan for the site, which starts by passing shift(v, 1).
+The whole word's alternation is checked on entry and after each shift.
+A conjugation step keeps it locally: the new word is shift(v, 1) t, and
+the tail t is a contiguous cyclic slice of the word before, which
+alternated, so each pair of adjacent letters inside t already differs in
+parity.  The new word has two letters fewer, so its length stays even, and
+checking the pairs inside shift(v, 1) and its two seams with t (or its own
+ends when t is empty) checks every cyclic pair.  The minimal subscript and
+its exponent sum are not recounted while x_0 is left: a conjugation step
+removes one x_0^-1 and one x_0 and adds no x_0 (v is free of x_0 and its
+shift raises every subscript), so alpha stays 0 and the sum of x_0 stays 0
+while the count of x_0-letters is positive.  They are recounted once it
+reaches 0; a shift makes the count that of x_alpha before it.
 ``verify_trace`` re-derives: it accepts exactly the trace ``alt_trace``
 derives for the trace's word.  A failed check or a violated internal
 invariant raises VerificationError and means the implementation is
@@ -79,10 +94,19 @@ class AltTrace(NamedTuple):
     witness: str
 
 
-def _min_subscript_witness(w: Word) -> tuple[int, int]:
-    """(alpha, exponent sum of x_alpha) for the minimal subscript alpha."""
+def _min_subscript_letters(w: Word) -> tuple[int, list[int]]:
+    """(alpha, the exponents of the letters x_alpha^+-1) for the minimal
+    subscript alpha."""
     alpha = min(g.index for g, _ in w)
-    return alpha, sum(e for g, e in w if g.index == alpha)
+    return alpha, [e for g, e in w if g.index == alpha]
+
+
+def _alternates_around(u: Word, tail: Word) -> bool:
+    """Whether ``u + tail`` alternates cyclically, given that ``tail``'s
+    adjacent letters differ in parity: only the pairs inside ``u`` and the
+    two seams are compared."""
+    ring = (tail[-1], *u, tail[0]) if tail else (*u, u[0])
+    return all(a[0].index % 2 != b[0].index % 2 for a, b in zip(ring, ring[1:]))
 
 
 def _leftmost_conjugation_site(w: Word) -> tuple[int, int]:
@@ -123,24 +147,28 @@ def alt_trace(w: Word) -> AltTrace:
     steps: list[TraceStep] = []
     conjugated: set = set()  # letters l with x0^-1 l x0 = shift(l, 1) checked in F
     current = w
+    zeros = 0  # x0-letters left in current while its x0 sum is 0; 0: recount
     while True:
-        if not is_alternating(current, cyclic=True):
-            raise VerificationError(f"alternating invariant lost: {print_word(current)}")
-        alpha, total = _min_subscript_witness(current)
-        if total != 0:
-            witness = f"exponent sum of x{alpha} is {total:+d}"
-            steps.append(
-                TraceStep(
-                    "witness", current, current, alpha=alpha, witness=witness
+        if not zeros:
+            alpha, exps = _min_subscript_letters(current)
+            total = sum(exps)
+            if total != 0:
+                witness = f"exponent sum of x{alpha} is {total:+d}"
+                steps.append(
+                    TraceStep(
+                        "witness", current, current, alpha=alpha, witness=witness
+                    )
                 )
-            )
-            break
-        if alpha > 0:
-            shifted = shift_word(current, -alpha)
-            if _FB.is_identity(_FB.from_word(current)) != _FB.is_identity(_FB.from_word(shifted)):
-                raise _unconfirmed(w)
-            steps.append(TraceStep("shift", current, shifted, alpha=alpha))
-            current = shifted
+                break
+            if alpha > 0:
+                shifted = shift_word(current, -alpha)
+                if _FB.is_identity(_FB.from_word(current)) != _FB.is_identity(_FB.from_word(shifted)):
+                    raise _unconfirmed(w)
+                if not is_alternating(shifted, cyclic=True):
+                    raise VerificationError(f"alternating invariant lost: {print_word(shifted)}")
+                steps.append(TraceStep("shift", current, shifted, alpha=alpha))
+                current = shifted
+            zeros = len(exps)
         p, gap = _leftmost_conjugation_site(current)
         rotated = cyclic_shift(current, p)
         prefix = current[:p]
@@ -153,7 +181,10 @@ def alt_trace(w: Word) -> AltTrace:
             if _FB.from_word((_X0_INV, letter, _X0)) != _FB.from_word(shift_word((letter,), 1)):
                 raise _unconfirmed(w)
             conjugated.add(letter)
-        replaced = shift_word(v, 1) + tail
+        u = shift_word(v, 1)
+        replaced = u + tail
+        if not _alternates_around(u, tail):
+            raise VerificationError(f"alternating invariant lost: {print_word(replaced)}")
         steps.append(
             TraceStep(
                 "conjugate_x0",
@@ -164,6 +195,7 @@ def alt_trace(w: Word) -> AltTrace:
             )
         )
         current = replaced
+        zeros -= 2
     return AltTrace(w, tuple(steps), "nontrivial", witness)
 
 

@@ -31,6 +31,7 @@ valid named generator.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .errors import UnknownGeneratorError, WordSyntaxError
@@ -243,7 +244,7 @@ def cyclic_shift(w: Word, offset: int) -> Word:
     return w[k:] + w[:k]
 
 
-def _indexed_only(w: Word) -> bool:
+def _indexed_only(w: Iterable[Letter]) -> bool:
     return all(g.name == "x" for g, _ in w)
 
 
@@ -264,13 +265,16 @@ def is_alternating(w: Word, cyclic: bool = False) -> bool:
 
 
 def shift_word(w: Word, alpha: int) -> Word:
-    """Add ``alpha`` to every subscript; subscripts must stay nonnegative."""
-    if not _indexed_only(w):
+    """Add ``alpha`` to every subscript; subscripts must stay nonnegative.
+    Each distinct letter is translated once, in the order it first occurs,
+    so an error names the first offending letter of the word."""
+    shifted: dict[Letter, Letter] = dict.fromkeys(w)
+    if not _indexed_only(shifted):
         raise UnknownGeneratorError("index shift needs a word over x0, x1, ...")
-    shifted = []
-    for g, e in w:
+    for letter in shifted:
+        g, e = letter
         i = g.index + alpha
         if i < 0:
             raise ValueError(f"shift by {alpha} makes subscript of {g} negative")
-        shifted.append((Generator("x", i), e))
-    return tuple(shifted)
+        shifted[letter] = (Generator("x", i), e)
+    return tuple(map(shifted.__getitem__, w))

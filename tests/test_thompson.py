@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 import f_reference
+import posmon_reference
 from helpers import free_reduce, indexed_letters, invert_word, random_word, rewrite_normalize
 
 from orecert.cli import main
@@ -158,12 +159,18 @@ EDGES_OF_128 = [127, 128, 129, 256, 257, 385]
 @pytest.mark.parametrize("length", sorted({
     0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 1, *EDGES_OF_128}))
 def test_from_word_at_block_edges_equals_the_left_fold(length):
+    # The reference is slow on long words, so past one block it checks the
+    # first word, and the letter steps, checked against it above, the rest.
     ref = f_reference.FBackend()
     rng = random.Random(length)
     pool = indexed_letters(4)
-    for _ in range(20):
+    for t in range(20):
         w = tuple(rng.choice(pool) for _ in range(length))
-        assert FB.canonical_str(FB.from_word(w)) == ref.canonical_str(ref.from_word(w)), w
+        x = FB.from_word(w)
+        if length < BLOCK or t == 0:
+            assert FB.canonical_str(x) == ref.canonical_str(ref.from_word(w)), w
+        else:
+            assert x == _letter_steps(w), w
 
 
 def test_from_word_work_grows_as_n_log_n(monkeypatch):
@@ -424,7 +431,8 @@ def test_left_insertion_equals_the_multiply_fold():
     # Words of the f-words benchmark's shape: up to 400 letters over
     # x0..x5.  The fold reads each word left to right, so PM.multiply
     # inserts the whole product so far into one letter, where
-    # pos_normalize reads the word right to left, one letter at a time.
+    # pos_normalize raises runs of letters (or, below 32 letters, reads the
+    # word right to left, one letter at a time).
     rng = random.Random(18)
     for t in range(200):
         w = tuple((Generator("x", rng.randrange(6)), 1) for _ in range(rng.randrange(0, 401)))
@@ -435,6 +443,56 @@ def test_left_insertion_equals_the_multiply_fold():
         assert nf == fold, w
         if t % 20 == 0:
             assert PM.embed_to_envelope(nf) == FB.from_word(w)
+
+
+def _positive(indices):
+    return tuple((Generator("x", i), 1) for i in indices)
+
+
+# Lengths on both sides of the short words' threshold and past a run of
+# every index of the small alphabets.
+POSMON_LENGTHS = (0, 1, 2, 5, thompson._SHORT - 1, thompson._SHORT, thompson._SHORT + 1, 100, 700)
+
+
+@pytest.mark.parametrize("top", [1, 5, 20])
+def test_pos_normalize_equals_the_left_insertion_fold(top):
+    rng = random.Random(top)
+    for length in POSMON_LENGTHS:
+        for _ in range(20):
+            indices = [rng.randrange(top + 1) for _ in range(length)]
+            w = _positive(indices)
+            nf = pos_normalize(w)
+            assert nf == posmon_reference.pos_normalize(w), w
+            # a normal form, and any non-decreasing word, is its own normal form
+            assert pos_normalize(_positive(nf)) == nf
+            assert pos_normalize(_positive(sorted(indices))) == tuple(sorted(indices))
+
+
+def test_pos_normalize_on_sparse_indices_equals_the_left_insertion_fold():
+    # Indices up to 10^6 leave most runs apart; x0 against a far index
+    # sends each far letter past the word's largest index at once.
+    rng = random.Random(1000000)
+    for length in POSMON_LENGTHS:
+        for t in range(18):
+            if t % 3 == 0:
+                indices = [rng.randrange(10**6 + 1) for _ in range(length)]
+            elif t % 3 == 1:
+                indices = [rng.choice((0, 10**6)) for _ in range(length)]
+            else:
+                indices = [rng.choice((0, 1, 2, rng.randrange(10**6 + 1))) for _ in range(length)]
+            w = _positive(indices)
+            assert pos_normalize(w) == posmon_reference.pos_normalize(w), w
+    w = _positive([0, 10**6] * 50)
+    assert pos_normalize(w) == posmon_reference.pos_normalize(w)
+
+
+def test_pos_normalize_is_a_homomorphism_across_the_short_threshold():
+    rng = random.Random(33)
+    for _ in range(200):
+        top = rng.choice((1, 5, 20))
+        u = _positive(rng.randrange(top + 1) for _ in range(rng.randrange(0, 80)))
+        v = _positive(rng.randrange(top + 1) for _ in range(rng.randrange(0, 80)))
+        assert pos_normalize(u + v) == PM.multiply(pos_normalize(u), pos_normalize(v))
 
 
 def test_monoid_homomorphism():

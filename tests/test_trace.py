@@ -8,7 +8,15 @@ from helpers import alternating_words
 from orecert.errors import NotAlternatingError, VerificationError
 from orecert.groups import FBackend, alt_trace, verify_trace
 from orecert.groups.trace import AltTrace, TraceStep
-from orecert.words import Alphabet, Generator, cyclic_shift, parse_word, print_word
+from orecert.words import (
+    Alphabet,
+    Generator,
+    cyclic_shift,
+    is_alternating,
+    parse_word,
+    print_word,
+    shift_word,
+)
 
 FB = FBackend()
 X = Alphabet.indexed()
@@ -223,6 +231,48 @@ def test_conjugation_site_must_read_x0_inverse_v_x0(monkeypatch):
     monkeypatch.setattr("orecert.groups.trace._leftmost_conjugation_site", lambda w: (0, 2))
     with pytest.raises(VerificationError, match="malformed conjugation site"):
         alt_trace(tw("x0 x1 x0^-1 x1^-1"))
+
+
+def _raise_subscripts(letters):
+    return tuple((Generator("x", g.index + 1), e) for g, e in letters)
+
+
+@pytest.mark.parametrize("where", ["inside v", "at a seam"])
+def test_alternation_is_checked_around_the_shifted_v(monkeypatch, where):
+    # The site is x0^-1 (x1 x2 x1) x0 and the tail x1.  Each edit of
+    # shift(v, 1) = x2 x3 x2 breaks the alternation: raising the middle
+    # subscript breaks two pairs inside it; raising all three keeps its own
+    # pairs and breaks only the two seams with the tail.  Single letters,
+    # which the F check shifts, are shifted right.
+    w = tw("x0^-1 x1 x2 x1 x0 x1")
+    assert print_word(alt_trace(w).steps[0].output_word) == "x2 x3 x2 x1"
+
+    def edit(u):
+        return u[:1] + _raise_subscripts(u[1:2]) + u[2:] if where == "inside v" else _raise_subscripts(u)
+
+    def wrong_shift(word, alpha):
+        shifted = shift_word(word, alpha)
+        return edit(shifted) if len(word) > 1 and alpha == 1 else shifted
+
+    monkeypatch.setattr("orecert.groups.trace.shift_word", wrong_shift)
+    with pytest.raises(VerificationError, match="alternating invariant lost"):
+        alt_trace(w)
+
+
+def test_whole_word_alternation_is_checked_on_entry_and_after_each_shift(monkeypatch):
+    calls = []
+
+    def counted(word, cyclic=False):
+        calls.append(word)
+        return is_alternating(word, cyclic=cyclic)
+
+    monkeypatch.setattr("orecert.groups.trace.is_alternating", counted)
+    # the last word takes a shift before each of its three conjugations
+    for text in ("x0 x1 x0^-1 x1^-1", "x0^-1 x1 x0 x3 x0^-1 x1 x0 x3^-1", "x2^-1 x3 x2 x1^-1 x2^-1 x3 x2 x1"):
+        calls.clear()
+        trace = alt_trace(tw(text))
+        shifts = [s.output_word for s in trace.steps if s.rule == "shift"]
+        assert calls == [trace.word, *shifts]
 
 
 def test_exponent_sums():

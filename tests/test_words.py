@@ -168,6 +168,13 @@ def test_shift_word():
     assert shift_word(shift_word(w, 3), -3) == w
     with pytest.raises(ValueError):
         shift_word(w, -2)
+    # each distinct letter is translated once, every copy keeps its place,
+    # and an error names the first offending letter of the word
+    assert print_word(shift_word(lw("x2 x1 x2 x1^-1 x2"), -1)) == "x1 x0 x1 x0^-1 x1"
+    with pytest.raises(ValueError, match="subscript of x1 negative"):
+        shift_word(lw("x3 x1 x0 x1"), -2)
+    with pytest.raises(UnknownGeneratorError):
+        shift_word(((Generator("x", 0), 1), (Generator("a"), 1)), -1)
 
 
 def test_named_alphabet_rejects_x():
